@@ -19,13 +19,14 @@ from .envmodel import (
     stationary_distribution,
     validate,
 )
-from .errors import ModelError, NumericalError, WindowError
+from .errors import LightTailedError, ModelError, NumericalError, WindowError
 from .spectral import SpectralReport, lyapunov_exponent, solve_kappa, spectral_radius, tilt
 from .speed import SpeedReport, compute_speed, cross_check, solve_crossing_profile
 
 __all__ = [
     "ArithmeticSpan",
     "EnvironmentSpec",
+    "LightTailedError",
     "MinorizationSplit",
     "ModelError",
     "NumericalError",

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.special import logsumexp
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, MinorizationSplit, stationary_distribution
+from .envmodel import EnvironmentSpec, MinorizationSplit
 from .errors import ModelError, NumericalError
 from .walksim import run_to_hit, sample_environment
 
@@ -81,11 +80,10 @@ def sample_chain_path(
     spec: EnvironmentSpec, length: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Stationary chain trajectory of the given length (states only)."""
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
-    cum_rows = [list(row) for row in np.cumsum(spec.H, axis=1)]
+    cum_rows = spec.chain.fwd_rows
     k = spec.n_states
     out = np.empty(length, dtype=np.int64)
-    s = int(np.searchsorted(cum_pi, rng.random(), side="right"))
+    s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
     out[0] = s
     buf = rng.random(1 << 16)
     bi = 0
@@ -117,18 +115,13 @@ def sample_branching(
     """
     if horizon < 1:
         raise ModelError("horizon must be >= 1")
-    pi = stationary_distribution(spec.H)
-    cum_pi = np.cumsum(pi)
-    cum_fwd = np.cumsum(spec.H, axis=1)
-    omega = spec.omega
-
     if track_lineages:
-        return _sample_branching_ledger(spec, horizon, rng, cum_pi, cum_fwd, omega)
+        return _sample_branching_ledger(spec, horizon, rng)
 
     # Hot loop: buffered uniforms and plain-python state, which beats numpy
     # scalar calls by an order of magnitude at typical population sizes.
-    cum_rows = [list(row) for row in cum_fwd]
-    om_list = [float(v) for v in omega]
+    cum_rows = spec.chain.fwd_rows
+    om_list = [float(v) for v in spec.omega]
     inv_log = [1.0 / math.log1p(-v) for v in om_list]
     k_states = len(om_list)
 
@@ -137,7 +130,7 @@ def sample_branching(
     buf = rng.random(1 << 16)
     bi = 0
     blen = len(buf)
-    s = int(np.searchsorted(cum_pi, rng.random(), side="right"))
+    s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
     states[0] = s
     z = 0
     log = math.log
@@ -176,9 +169,11 @@ def sample_branching(
     return BranchPath(spec=spec, populations=Z, states=states, ledger=None)
 
 
-def _sample_branching_ledger(spec, horizon, rng, cum_pi, cum_fwd, omega):
+def _sample_branching_ledger(spec, horizon, rng):
+    cum_fwd = spec.chain.cum_fwd
+    omega = spec.omega
     states = np.empty(horizon + 1, dtype=np.int64)
-    states[0] = np.searchsorted(cum_pi, rng.random(), side="right")
+    states[0] = np.searchsorted(spec.chain.cum_pi, rng.random(), side="right")
     Z = np.zeros(horizon + 1, dtype=np.int64)
     ledger: list[dict[int, int]] = [{}]
     for t in range(horizon):
@@ -256,13 +251,11 @@ def split_chain_with_regenerations(
     cum_psi = np.cumsum(psi)
     row_sums = theta.sum(axis=1)
     cum_theta = np.cumsum(theta, axis=1)
-    cum_fwd = np.cumsum(spec.H, axis=1)
+    cum_fwd = spec.chain.cum_fwd
     col_max = spec.H.max(axis=0)
 
     states = np.empty(n_blocks * m + 1, dtype=np.int64)
-    states[0] = np.searchsorted(
-        np.cumsum(stationary_distribution(spec.H)), rng.random(), side="right"
-    )
+    states[0] = np.searchsorted(spec.chain.cum_pi, rng.random(), side="right")
     regens = [0]
     for j in range(n_blocks):
         x0 = int(states[j * m])
@@ -316,23 +309,34 @@ class BlockStats:
 def block_products(log_rho_path: np.ndarray, boundaries: np.ndarray) -> BlockStats:
     """Odds product and prefix load per block between consecutive boundaries.
 
-    Both statistics are accumulated in log space (log-sum-exp for the prefix
-    load) so long blocks cannot overflow.
+    Block ``j`` covers path indices ``b[j] .. b[j+1]-1``; its product is
+    ``exp(S[b[j+1]] - S[b[j]])`` and its prefix load is
+    ``sum_i exp(S[i] - S[b[j]])`` over ``i`` in the block, with ``S`` the
+    cumulative log odds, so the term at ``b[j]`` is the leading 1.  The
+    prefix loads of all blocks are one segmented log-sum-exp: the
+    per-block maximum and the shifted sum of exponentials are reductions
+    over the block segments (``reduceat``), so long blocks cannot overflow.
+    Boundaries must be strictly increasing indices into the path (``b[-1]``
+    may equal its length).
     """
     logr = np.asarray(log_rho_path, dtype=float)
     b = np.asarray(boundaries, dtype=np.int64)
     if len(b) < 2:
         return BlockStats(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    lengths = np.diff(b)
+    if np.any(lengths <= 0) or b[0] < 0 or b[-1] > len(logr):
+        raise ModelError("block boundaries must be strictly increasing within the path")
     cums = np.concatenate([[0.0], np.cumsum(logr)])
-    log_m = cums[b[1:]] - cums[b[:-1]]
-    prefix = np.empty(len(b) - 1)
-    for j in range(len(b) - 1):
-        inner = cums[b[j] + 1:b[j + 1]] - cums[b[j]]
-        prefix[j] = np.exp(logsumexp(np.concatenate([[0.0], inner])))
+    starts = b[:-1] - b[0]
+    # t[i] = S[i] - S[block start], the log partial products of every block
+    t = cums[b[0]:b[-1]] - np.repeat(cums[b[:-1]], lengths)
+    peak = np.maximum.reduceat(t, starts)
+    t -= np.repeat(peak, lengths)
+    np.exp(t, out=t)
     return BlockStats(
-        products=np.exp(log_m),
-        prefix_sums=prefix,
-        lengths=np.diff(b),
+        products=np.exp(cums[b[1:]] - cums[b[:-1]]),
+        prefix_sums=np.exp(peak) * np.add.reduceat(t, starts),
+        lengths=lengths,
     )
 
 
@@ -345,7 +349,6 @@ class RegenTrace:
     joint: np.ndarray  # common refinement of the two
     extinction_blocks: np.ndarray  # population totals between extinctions
     joint_blocks: np.ndarray  # population totals between joint times
-    chain_block_stats: BlockStats  # odds product / prefix load per chain block
     truncated: bool  # horizon cut the path inside a joint block
 
 
@@ -361,15 +364,12 @@ def regen_trace(
     cz = np.concatenate([[0], np.cumsum(path.populations)])
     w_ext = cz[nu[1:]] - cz[nu[:-1]]
     w_joint = cz[joint[1:]] - cz[joint[:-1]]
-    logr = np.log(path.spec.rho)[path.states]
-    stats_blocks = block_products(logr, N)
     return RegenTrace(
         extinctions=nu,
         chain_regens=N,
         joint=joint,
         extinction_blocks=w_ext,
         joint_blocks=w_joint,
-        chain_block_stats=stats_blocks,
         truncated=bool(joint[-1] != path.horizon),
     )
 
@@ -382,9 +382,8 @@ def branch_population_sums(
     Lanes run in lockstep; per-generation offspring use the
     negative-binomial equivalent of the geometric sum.
     """
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
-    cum_fwd = np.cumsum(spec.H, axis=1)
-    states = np.searchsorted(cum_pi, rng.random(replicas), side="right")
+    cum_fwd = spec.chain.cum_fwd
+    states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
     Z = np.zeros(replicas, dtype=np.int64)
     total = np.zeros(replicas, dtype=np.int64)
     for _ in range(n):

@@ -1,7 +1,7 @@
 """Configuration-driven command line: one subcommand per analysis surface.
 
-Every run is a pure function of ``(model file, flags, seed)``; parallelism
-never changes outputs.  Human-readable summaries go to standard output and
+Every run is a pure function of ``(model file, flags, seed)``; ``--threads``
+is accepted and ignored.  Human-readable summaries go to standard output and
 machine-readable CSV (header row, data rows, one trailing metadata comment
 with the config hash and seed) goes to ``--out``.  The ``RWRE_LOG``
 environment variable controls stderr verbosity only.
@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, out=True):
         sp.add_argument("--config", required=True, help="model file (TOML-style)")
         sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; runs are single-threaded")
         if out:
             sp.add_argument("--out", help="CSV output path")
 
@@ -182,18 +182,13 @@ def _cmd_speed(args) -> int:
 def _cmd_simulate_walk(args) -> int:
     spec = envmodel.load_model(args.config)
 
-    def one(idx: int):
+    rows = []
+    for idx in range(args.replicas):
         env = walksim.sample_environment(spec, 64, args.n - 1, derive_rng(args.seed, idx, 0))
         rec = walksim.run_to_hit(env, args.n, derive_rng(args.seed, idx, 1),
                                  step_cap=args.step_cap)
         value = rec.steps if rec.censored else rec.hitting_time
-        return idx, value, rec.steps, int(rec.censored)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = sorted(pool.map(one, range(args.replicas)))
-    else:
-        rows = [one(i) for i in range(args.replicas)]
+        rows.append((idx, value, rec.steps, int(rec.censored)))
 
     values = np.array([r[1] for r in rows], dtype=float)
     censored = np.array([r[3] for r in rows], dtype=bool)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .errors import ModelError
 
 __all__ = [
     "EnvironmentSpec",
+    "ChainTable",
     "ValidationReport",
     "ArithmeticSpan",
     "MinorizationSplit",
@@ -110,6 +112,60 @@ class EnvironmentSpec:
 
     def log_rho(self) -> np.ndarray:
         return np.log(self.rho)
+
+    @cached_property
+    def chain(self) -> ChainTable:
+        """Stationary law and cumulative kernels, solved once per spec.
+
+        Raises ``ModelError`` on first access if the chain is reducible.
+        """
+        return ChainTable.of(self.H)
+
+
+@dataclass(frozen=True)
+class ChainTable:
+    """Inverse-CDF tables of one chain, shared by every sampler.
+
+    ``cum_pi`` is the cumulative stationary law; row ``x`` of ``cum_fwd``
+    (``cum_rev``) is the cumulative forward (time-reversed) kernel from
+    ``x``; ``fwd_rows`` and ``rev_rows`` hold the same rows as Python lists
+    for scalar ``bisect`` walks.  Arrays are read-only.  The reversed
+    kernel is built, and checked, on first use only.
+    """
+
+    H: np.ndarray
+    pi: np.ndarray
+    cum_pi: np.ndarray
+    cum_fwd: np.ndarray
+    fwd_rows: list[list[float]]
+
+    @classmethod
+    def of(cls, H: np.ndarray) -> ChainTable:
+        pi = _read_only(stationary_distribution(H))
+        cum_pi = _read_only(np.cumsum(pi))
+        cum_fwd = _read_only(np.cumsum(H, axis=1))
+        return cls(H, pi, cum_pi, cum_fwd, cum_fwd.tolist())
+
+    @cached_property
+    def rev(self) -> np.ndarray:
+        rev = (self.H * self.pi[:, None]).T / self.pi[:, None]
+        resid = float(np.max(np.abs(rev.sum(axis=1) - 1.0)))
+        if resid > 1e-12:
+            raise ModelError(f"reversed kernel is not stochastic: residual {resid:.3g}")
+        return _read_only(rev)
+
+    @cached_property
+    def cum_rev(self) -> np.ndarray:
+        return _read_only(np.cumsum(self.rev, axis=1))
+
+    @cached_property
+    def rev_rows(self) -> list[list[float]]:
+        return self.cum_rev.tolist()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -208,12 +264,7 @@ def reverse_kernel(spec: EnvironmentSpec) -> np.ndarray:
     Needed because environment sites ``i > 0`` read the chain at negative
     times; the reversed kernel generates those states from the site-0 state.
     """
-    pi = stationary_distribution(spec.H)
-    rev = (spec.H * pi[:, None]).T / pi[:, None]
-    resid = float(np.max(np.abs(rev.sum(axis=1) - 1.0)))
-    if resid > 1e-12:
-        raise ModelError(f"reversed kernel is not stochastic: residual {resid:.3g}")
-    return rev
+    return spec.chain.rev.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +289,7 @@ def validate(spec: EnvironmentSpec) -> ValidationReport:
 
     from . import spectral  # deferred: spectral depends on this module
 
-    pi = stationary_distribution(spec.H)
+    pi = spec.chain.pi
     margin = float(min(spec.omega.min(), 1.0 - spec.omega.max()))
     drift = float(pi @ spec.log_rho())
 

@@ -6,7 +6,7 @@ code 2; everything else is a bug.
 
 from __future__ import annotations
 
-__all__ = ["ModelError", "NumericalError", "WindowError"]
+__all__ = ["ModelError", "NumericalError", "LightTailedError", "WindowError"]
 
 
 class ModelError(ValueError):
@@ -15,6 +15,10 @@ class ModelError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine could not produce a result at its tolerance."""
+
+
+class LightTailedError(NumericalError):
+    """The moment exponent stays negative on the whole probe range: no kappa."""
 
 
 class WindowError(NumericalError):

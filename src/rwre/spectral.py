@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmodel import EnvironmentSpec, is_irreducible, stationary_distribution
-from .errors import ModelError, NumericalError
+from .errors import LightTailedError, ModelError, NumericalError
 
 __all__ = [
     "TiltedKernel",
@@ -225,7 +225,7 @@ def solve_kappa(
     if lo is None:
         raise NumericalError("no kappa: Lyapunov exponent is nonnegative at every probe")
     if hi is None:
-        raise NumericalError(
+        raise LightTailedError(
             "no kappa up to beta=64: Lyapunov exponent stays negative (light-tailed regime)"
         )
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import EnvironmentSpec, stationary_distribution
-from .errors import NumericalError
+from .envmodel import EnvironmentSpec
+from .errors import LightTailedError, NumericalError
 from . import spectral
 
 __all__ = ["SpeedReport", "CrossCheck", "solve_crossing_profile", "compute_speed", "cross_check"]
@@ -75,14 +75,12 @@ def compute_speed(spec: EnvironmentSpec, kappa: float | None = None) -> SpeedRep
     if kappa is None:
         try:
             kappa = spectral.solve_kappa(spec).kappa
-        except NumericalError as exc:
-            if "light-tailed" not in str(exc):
-                raise
+        except LightTailedError:
             kappa = float("inf")
     if kappa <= 1.0:
         return SpeedReport(kappa=kappa, v=0.0, inverse_speed=None, profile=None)
     xi = solve_crossing_profile(spec)
-    pi = stationary_distribution(spec.H)
+    pi = spec.chain.pi
     inv = float(pi @ (spec.rho * xi))
     return SpeedReport(kappa=kappa, v=1.0 / inv, inverse_speed=inv, profile=xi)
 

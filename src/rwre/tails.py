@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import EnvironmentSpec, stationary_distribution
+from .envmodel import EnvironmentSpec
 from .errors import ModelError, NumericalError
 
 __all__ = [
@@ -62,11 +62,10 @@ def sample_perpetuity(
 
 
 def _perpetuity_chunk(spec, lanes, rng, tol):
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
-    cum_fwd = np.cumsum(spec.H, axis=1)
+    cum_fwd = spec.chain.cum_fwd
     rho = spec.rho
 
-    states = np.searchsorted(cum_pi, rng.random(lanes), side="right")
+    states = np.searchsorted(spec.chain.cum_pi, rng.random(lanes), side="right")
     prod = np.ones(lanes)
     value = np.ones(lanes)
     active = np.arange(lanes)
@@ -235,7 +234,7 @@ def tilted_tail_sampler(
     # exact per-transition log likelihood ratio of original vs sampling kernel
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(spec.H > 0, np.log(spec.H) - np.log(tilted), 0.0)
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
+    cum_pi = spec.chain.cum_pi
 
     weights = np.zeros(replicas)
     success = np.zeros(replicas, dtype=bool)

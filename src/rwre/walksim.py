@@ -17,12 +17,13 @@ they were generated from a model; fixed windows raise instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, reverse_kernel, stationary_distribution
+from .envmodel import EnvironmentSpec
 from .errors import ModelError, NumericalError, WindowError
 
 __all__ = [
@@ -46,6 +47,19 @@ def _categorical(cumrows: np.ndarray, states: np.ndarray, rng) -> np.ndarray:
     return (u[:, None] > cumrows[states]).sum(axis=1)
 
 
+def _chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:
+    """States of successive chain moves from ``s``, one uniform each.
+
+    Each move is the inverse CDF on a cumulative row with
+    ``searchsorted(side="right")`` semantics, done by ``bisect_right``.
+    """
+    out = []
+    for u in uniforms:
+        s = bisect_right(rows[s], u)
+        out.append(s)
+    return out
+
+
 @dataclass
 class EnvPath:
     """Two-sided environment window over sites ``[-left, right]``.
@@ -62,8 +76,6 @@ class EnvPath:
     states: np.ndarray | None = None
     spec: EnvironmentSpec | None = None
     rng: np.random.Generator | None = None
-    _cum_fwd: np.ndarray | None = field(default=None, repr=False)
-    _cum_rev: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def extendable(self) -> bool:
@@ -72,23 +84,13 @@ class EnvPath:
     def omega_at(self, site: int) -> float:
         return float(self.omega[site + self.left])
 
-    def _cums(self):
-        if self._cum_fwd is None:
-            self._cum_fwd = np.cumsum(self.spec.H, axis=1)
-            self._cum_rev = np.cumsum(reverse_kernel(self.spec), axis=1)
-        return self._cum_fwd, self._cum_rev
-
     def extend_left(self, count: int = _EXTEND_CHUNK) -> None:
         """Grow the window downward by continuing the forward chain."""
         if not self.extendable:
             raise WindowError("window too small and environment is fixed", -self.left)
-        cum_fwd, _ = self._cums()
-        s = int(self.states[0])
-        new_states = np.empty(count, dtype=np.int64)
-        for j in range(count):
-            s = int(np.searchsorted(cum_fwd[s], self.rng.random(), side="right"))
-            new_states[j] = s
-        new_states = new_states[::-1]
+        new = _chain_walk(self.spec.chain.fwd_rows, int(self.states[0]),
+                          self.rng.random(count).tolist())
+        new_states = np.array(new[::-1], dtype=np.int64)
         self.states = np.concatenate([new_states, self.states])
         self.omega = np.concatenate([self.spec.omega[new_states], self.omega])
         self.left += count
@@ -97,12 +99,9 @@ class EnvPath:
         """Grow the window upward by continuing the reversed chain."""
         if not self.extendable:
             raise WindowError("window too small and environment is fixed", self.right)
-        _, cum_rev = self._cums()
-        s = int(self.states[-1])
-        new_states = np.empty(count, dtype=np.int64)
-        for j in range(count):
-            s = int(np.searchsorted(cum_rev[s], self.rng.random(), side="right"))
-            new_states[j] = s
+        new = _chain_walk(self.spec.chain.rev_rows, int(self.states[-1]),
+                          self.rng.random(count).tolist())
+        new_states = np.array(new, dtype=np.int64)
         self.states = np.concatenate([self.states, new_states])
         self.omega = np.concatenate([self.omega, self.spec.omega[new_states]])
         self.right += count
@@ -115,28 +114,21 @@ def sample_environment(
 
     The site-0 state is drawn from the stationary law, negative sites follow
     the forward kernel and positive sites the reversed kernel, so the window
-    is a stationary stretch of the environment in distribution.  Draw order
-    (origin, then downward, then upward) is fixed for reproducibility.
+    is a stationary stretch of the environment in distribution.  All
+    ``left + right + 1`` uniforms come from one ``rng.random`` call and are
+    used in a fixed order (origin, then downward, then upward), which is the
+    stream and order of one draw per site.  Each move is a ``bisect`` on a
+    row of the spec's cached chain table.
     """
     if left < 0 or right < 0:
         raise ModelError("window bounds must be nonnegative")
-    pi = stationary_distribution(spec.H)
-    cum_fwd = np.cumsum(spec.H, axis=1)
-    cum_rev = np.cumsum(reverse_kernel(spec), axis=1)
-
-    states = np.empty(left + right + 1, dtype=np.int64)
-    s0 = int(np.searchsorted(np.cumsum(pi), rng.random(), side="right"))
-    states[left] = s0
-    s = s0
-    for j in range(1, left + 1):
-        s = int(np.searchsorted(cum_fwd[s], rng.random(), side="right"))
-        states[left - j] = s
-    s = s0
-    for j in range(1, right + 1):
-        s = int(np.searchsorted(cum_rev[s], rng.random(), side="right"))
-        states[left + j] = s
-
-    env = EnvPath(
+    table = spec.chain
+    u = rng.random(left + right + 1).tolist()
+    s0 = int(np.searchsorted(table.cum_pi, u[0], side="right"))
+    down = _chain_walk(table.fwd_rows, s0, u[1:left + 1])
+    up = _chain_walk(table.rev_rows, s0, u[left + 1:])
+    states = np.array(down[::-1] + [s0] + up, dtype=np.int64)
+    return EnvPath(
         left=left,
         right=right,
         omega=spec.omega[states],
@@ -144,9 +136,6 @@ def sample_environment(
         spec=spec,
         rng=rng,
     )
-    env._cum_fwd = cum_fwd
-    env._cum_rev = cum_rev
-    return env
 
 
 @dataclass(frozen=True)
@@ -295,12 +284,11 @@ def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:
 
 def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
     rng = derive_rng(seed, 0)
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
-    cum_fwd = np.cumsum(spec.H, axis=1)
+    cum_fwd = spec.chain.cum_fwd
     omega = spec.omega
 
     u = rng.random(replicas)
-    states = np.searchsorted(cum_pi, u, side="right")
+    states = np.searchsorted(spec.chain.cum_pi, u, side="right")
     counts = np.zeros(replicas, dtype=np.int64)
     total = np.zeros(replicas, dtype=np.int64)
 
@@ -396,49 +384,36 @@ def annealed_position_sample(
     return out
 
 
-def _position_batch(spec, n_steps, lanes, rng):
-    cum_pi = np.cumsum(stationary_distribution(spec.H))
-    cum_fwd = np.cumsum(spec.H, axis=1)
-    cum_rev = np.cumsum(reverse_kernel(spec), axis=1)
+def _lane_walk(cumrows: np.ndarray, s: np.ndarray, count: int, rng) -> np.ndarray:
+    """``count`` lockstep chain moves from the lane states ``s``, one column each."""
+    cols = np.empty((s.shape[0], count), dtype=np.int64)
+    for j in range(count):
+        s = _categorical(cumrows, s, rng)
+        cols[:, j] = s
+    return cols
 
-    left = _EXTEND_CHUNK
-    right = _EXTEND_CHUNK
-    s0 = np.searchsorted(cum_pi, rng.random(lanes), side="right")
-    states = np.empty((lanes, left + right + 1), dtype=np.int64)
-    states[:, left] = s0
-    s = s0.copy()
-    for j in range(1, left + 1):
-        s = _categorical(cum_fwd, s, rng)
-        states[:, left - j] = s
-    s = s0.copy()
-    for j in range(1, right + 1):
-        s = _categorical(cum_rev, s, rng)
-        states[:, left + j] = s
+
+def _position_batch(spec, n_steps, lanes, rng):
+    table = spec.chain
+    s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
+    down = _lane_walk(table.cum_fwd, s0, _EXTEND_CHUNK, rng)
+    up = _lane_walk(table.cum_rev, s0, _EXTEND_CHUNK, rng)
+    states = np.concatenate([down[:, ::-1], s0[:, None], up], axis=1)
     omega = spec.omega[states]
+    left = _EXTEND_CHUNK
 
     rows = np.arange(lanes)
     pos = np.zeros(lanes, dtype=np.int64)
     for _ in range(n_steps):
         u = rng.random(lanes)
-        move = np.where(u < omega[rows, pos + left], 1, -1)
-        pos += move
+        pos += np.where(u < omega[rows, pos + left], 1, -1)
         if pos.min() + left == 0:
-            grow = _EXTEND_CHUNK
-            s = states[:, 0].copy()
-            cols = np.empty((lanes, grow), dtype=np.int64)
-            for j in range(grow):
-                s = _categorical(cum_fwd, s, rng)
-                cols[:, j] = s
-            states = np.concatenate([cols[:, ::-1], states], axis=1)
-            omega = np.concatenate([spec.omega[cols[:, ::-1]], omega], axis=1)
-            left += grow
+            cols = _lane_walk(table.cum_fwd, states[:, 0], _EXTEND_CHUNK, rng)[:, ::-1]
+            states = np.concatenate([cols, states], axis=1)
+            omega = np.concatenate([spec.omega[cols], omega], axis=1)
+            left += _EXTEND_CHUNK
         if pos.max() + left == omega.shape[1] - 1:
-            grow = _EXTEND_CHUNK
-            s = states[:, -1].copy()
-            cols = np.empty((lanes, grow), dtype=np.int64)
-            for j in range(grow):
-                s = _categorical(cum_rev, s, rng)
-                cols[:, j] = s
+            cols = _lane_walk(table.cum_rev, states[:, -1], _EXTEND_CHUNK, rng)
             states = np.concatenate([states, cols], axis=1)
             omega = np.concatenate([omega, spec.omega[cols]], axis=1)
     return pos

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import chains
@@ -79,17 +81,58 @@ def test_block_products_frozen_examples():
     assert bs.prefix_sums[0] == pytest.approx(1.5, rel=1e-14)
 
 
+def _check_block_oracle(logr, bounds, rel):
+    bs = branching.block_products(logr, bounds)
+    rho = np.exp(logr)
+    assert len(bs) == len(bounds) - 1
+    assert np.array_equal(bs.lengths, np.diff(bounds))
+    for j in range(len(bounds) - 1):
+        a, b = bounds[j], bounds[j + 1]
+        assert bs.products[j] == pytest.approx(np.prod(rho[a:b]), rel=rel)
+        q = 1.0 + sum(np.prod(rho[a:a + i + 1]) for i in range(b - a - 1))
+        assert bs.prefix_sums[j] == pytest.approx(q, rel=rel)
+
+
 def test_block_products_brute_force_oracle():
     rng = np.random.default_rng(6)
     logr = np.log(rng.uniform(0.3, 3.0, 60))
-    bounds = np.array([0, 7, 8, 20, 41, 60])
-    bs = branching.block_products(logr, bounds)
-    rho = np.exp(logr)
-    for j in range(len(bounds) - 1):
-        a, b = bounds[j], bounds[j + 1]
-        assert bs.products[j] == pytest.approx(np.prod(rho[a:b]), rel=1e-12)
-        q = 1.0 + sum(np.prod(rho[a:a + i + 1]) for i in range(b - a - 1))
-        assert bs.prefix_sums[j] == pytest.approx(q, rel=1e-12)
+    _check_block_oracle(logr, np.array([0, 7, 8, 20, 41, 60]), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offset=st.integers(0, 10),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=10),
+    tail=st.integers(0, 5),
+    logs=st.lists(st.floats(-50.0, 50.0), min_size=135, max_size=135),
+)
+def test_block_products_property_oracle(offset, lengths, tail, logs):
+    # Strictly increasing boundaries from b[0] >= 0, length-1 blocks, and
+    # odds up to e^50 per step, so partial products reach e^600.  Products
+    # are differences of one cumulative sum over the whole path, so their
+    # relative error grows with the absolute size of that sum.
+    bounds = offset + np.concatenate([[0], np.cumsum(lengths)])
+    logr = np.array(logs[:bounds[-1] + tail])
+    _check_block_oracle(logr, bounds, rel=1e-14 * (1.0 + np.abs(logr).sum()))
+
+
+def test_block_products_bounded_partial_sums_in_long_block():
+    # |log rho| = 50 at every step of a 400-step block, partial sums in [0, 50]
+    logr = np.concatenate([np.zeros(3), np.tile([50.0, -50.0], 200)])
+    bs = branching.block_products(logr, np.array([3, 403]))
+    assert bs.products[0] == pytest.approx(1.0, abs=1e-12)
+    assert bs.prefix_sums[0] == pytest.approx(200 + 200 * np.exp(50.0), rel=1e-12)
+
+
+def test_block_products_rejects_empty_or_reversed_blocks():
+    logr = np.zeros(5)
+    with pytest.raises(ModelError, match="strictly increasing"):
+        branching.block_products(logr, np.array([0, 2, 2, 5]))
+    with pytest.raises(ModelError, match="strictly increasing"):
+        branching.block_products(logr, np.array([0, 3, 1]))
+    with pytest.raises(ModelError, match="within the path"):
+        branching.block_products(logr, np.array([0, 2, 6]))
+    assert len(branching.block_products(logr, np.array([2]))) == 0
 
 
 def test_block_moment_identity_k1():

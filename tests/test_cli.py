@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,11 @@ NONARITH_K2 = str(MODELS / "nonarith-k2.toml")
 
 def run_cli(*argv):
     return cli.run([str(a) for a in argv])
+
+
+def _sha256(path) -> str:
+    """Golden CSV digests: the draw order and the formatting are pinned."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_validate_ok(capsys):
@@ -41,6 +47,13 @@ def test_model_error_exit_code(tmp_path, capsys):
 def test_missing_model_file_is_clean_model_error(capsys):
     assert run_cli("validate", "--config", "/no/such/model.toml") == 1
     assert "cannot read model file" in capsys.readouterr().err
+
+
+def test_light_tailed_kappa_exits_2(tmp_path, capsys):
+    light = tmp_path / "light.toml"
+    light.write_text('states = ["only"]\nepsilon = "0.05"\nH = [["1"]]\nomega = ["2/3"]\n')
+    assert run_cli("kappa", "--config", light) == 2
+    assert "light-tailed" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_64():
@@ -88,6 +101,7 @@ def test_simulate_walk_csv_schema_and_censoring(tmp_path):
     assert len(body) == 20
     assert any(row[3] == "1" for row in body)  # cap 25 < typical T_40: censored rows kept
     assert lines[-1].startswith("# config_hash=")
+    assert _sha256(out) == "b0d5cdfba67e7427e529e0f803cbaf13971b172200686e0b9f343f5f6f0b8495"
 
 
 def test_simulate_walk_thread_count_invariance(tmp_path):
@@ -98,6 +112,8 @@ def test_simulate_walk_thread_count_invariance(tmp_path):
                 "--seed", 5, "--threads", threads, "--out", path)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == (
+        "1f56869cd953f5f12aea94b6a15f36fc57c5ab4598cf106f80de0354222c6530")
 
 
 def test_simulate_branching_csv(tmp_path, capsys):
@@ -107,6 +123,7 @@ def test_simulate_branching_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "block,gap,population,odds_product,prefix_load"
     assert len(lines) > 100
+    assert _sha256(out) == "3b9ddbab4f89c020cef82b8e2e0ef4f5e9a769b6711fceb18928e74222fd22db"
 
 
 def test_tails_report_and_dump(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import chains
 from rwre import envmodel, spectral
-from rwre.errors import ModelError, NumericalError
+from rwre.errors import LightTailedError, ModelError, NumericalError
 
 ALL_CHAINS = [
     chains.chain_mk_k1,
@@ -141,8 +141,9 @@ def test_solve_kappa_wrong_direction_drift():
 
 
 def test_solve_kappa_light_tails():
-    with pytest.raises(NumericalError, match="light-tailed"):
+    with pytest.raises(LightTailedError, match="light-tailed"):
         spectral.solve_kappa(chains.single_state(0.5))
+    assert issubclass(LightTailedError, NumericalError)  # CLI exit code 2
 
 
 def test_sub_stochastic_radius_k1_frozen():

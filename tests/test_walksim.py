@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,6 +16,70 @@ def test_environment_deterministic_under_seed():
     b = walksim.sample_environment(spec, 50, 50, derive_rng(9, 0))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.omega, b.omega)
+
+
+S4 = envmodel.EnvironmentSpec(
+    states=("a", "b", "c", "d"),
+    H=np.array([[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.2, 0.1],
+                [0.3, 0.0, 0.4, 0.3], [0.25, 0.25, 0.25, 0.25]]),
+    omega=np.array([0.3, 0.55, 0.7, 0.45]),
+    epsilon=0.05,
+)
+
+# sha256 prefix of the state digits of sample_environment(spec, 16, 99,
+# derive_rng(3, i, 0)), and the next uniform of the same stream.
+ENV_GOLDEN = {
+    ("k2", 0): ("38127e6cec8b9ecc", 0.10966509669474411),
+    ("k2", 1): ("a4aa4a2cf1db75a4", 0.14321440111556194),
+    ("k2", 7): ("4dc803bb9971bb7a", 0.7194680410984262),
+    ("s4", 0): ("6a4f2e1f43a8e7c0", 0.10966509669474411),
+    ("s4", 1): ("dccda163791eec13", 0.14321440111556194),
+    ("s4", 7): ("e251f3c16ca6ae86", 0.7194680410984262),
+}
+# the i = 0 window after extend_left() and extend_right(5)
+EXTEND_GOLDEN = {
+    "k2": ("a247c79dcfa6bd14", 0.2318721635616876),
+    "s4": ("c1f41135ff48d020", 0.2318721635616876),
+}
+
+
+def _spec(name):
+    return chains.chain_mk_k2() if name == "k2" else S4
+
+
+def _digest(states) -> str:
+    return hashlib.sha256("".join(map(str, states.tolist())).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,i", sorted(ENV_GOLDEN))
+def test_environment_golden_draws(name, i):
+    rng = derive_rng(3, i, 0)
+    env = walksim.sample_environment(_spec(name), 16, 99, rng)
+    assert (_digest(env.states), rng.random()) == ENV_GOLDEN[name, i]
+    assert np.array_equal(env.omega, _spec(name).omega[env.states])
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_GOLDEN))
+def test_environment_extension_golden_draws(name):
+    spec = _spec(name)
+    rng = derive_rng(3, 0, 0)
+    env = walksim.sample_environment(spec, 16, 99, rng)
+    env.extend_left()
+    env.extend_right(5)
+    assert (env.left, env.right) == (80, 104)
+    assert (_digest(env.states), rng.random()) == EXTEND_GOLDEN[name]
+    assert np.array_equal(env.omega, spec.omega[env.states])
+
+
+def test_chain_table_is_cached_and_read_only():
+    spec = chains.chain_mk_k2()
+    table = spec.chain
+    assert spec.chain is table
+    assert np.array_equal(table.pi, envmodel.stationary_distribution(spec.H))
+    assert np.array_equal(table.cum_rev, np.cumsum(envmodel.reverse_kernel(spec), axis=1))
+    assert table.rev_rows == table.cum_rev.tolist()
+    with pytest.raises(ValueError):
+        table.cum_fwd[0, 0] = 0.0
 
 
 def test_environment_single_state_constant():
