@@ -280,7 +280,7 @@ def _cmd_limit_check(args) -> int:
         reports.append(
             limitlaws.limit_check_X(spec, args.n, args.replicas, args.seed,
                                     t_report=t_report, kappa=kappa,
-                                    v=vrep.v or None)
+                                    v=vrep.v or None, step_cap=args.step_cap)
         )
     rows = []
     for rep in reports:

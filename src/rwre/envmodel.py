@@ -277,8 +277,8 @@ def validate(spec: EnvironmentSpec) -> ValidationReport:
 
     Irreducibility is decided by strongly-connected-component analysis; the
     drift is the stationary mean of ``log rho``; the moment-growth witnesses
-    are found by probing the tilt exponent on a geometric grid (delegated to
-    the spectral module); the lattice check runs on the transition graph.
+    bracket kappa (:func:`rwre.spectral.moment_bracket`, ``None`` if absent);
+    the lattice check runs on the transition graph.
     A reducible chain yields a report with ``irreducible=False`` and the
     remaining fields unset.
     """
@@ -293,16 +293,7 @@ def validate(spec: EnvironmentSpec) -> ValidationReport:
     margin = float(min(spec.omega.min(), 1.0 - spec.omega.max()))
     drift = float(pi @ spec.log_rho())
 
-    neg = None
-    nonneg = None
-    for beta in 2.0 ** np.arange(-6, 7):
-        lam = spectral.lyapunov_exponent(spec, float(beta))
-        if lam < 0 and neg is None:
-            neg = float(beta)
-        if lam >= 0 and nonneg is None:
-            nonneg = float(beta)
-        if neg is not None and nonneg is not None:
-            break
+    _, neg, nonneg = spectral.moment_bracket(spec)
 
     return ValidationReport(
         irreducible=True,

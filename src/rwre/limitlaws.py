@@ -663,8 +663,10 @@ def limit_check_X(
     t_report: LimitCheckReport | None = None,
     kappa: float | None = None,
     v: float | None = None,
+    step_cap: int | None = None,
 ) -> LimitCheckReport:
-    """Sample positions at time ``n`` and run the transfer check."""
+    """Sample positions at time ``n`` and run the transfer check; without
+    ``t_report``, first run the hitting-time side with ``step_cap``."""
     from . import spectral, speed as speedmod, walksim
 
     if kappa is None:
@@ -675,7 +677,7 @@ def limit_check_X(
         v = speedmod.compute_speed(spec, kappa).v
     if t_report is None:
         t_report = limit_check_T(
-            spec, n, replicas, child_seed(seed, 1), kappa=kappa, v=v
+            spec, n, replicas, child_seed(seed, 1), kappa=kappa, v=v, step_cap=step_cap
         )
     xs = walksim.annealed_position_sample(spec, n, replicas, child_seed(seed, 2))
     return transfer_T_to_X(kappa, t_report, v, xs, n)

@@ -56,6 +56,21 @@ def test_light_tailed_kappa_exits_2(tmp_path, capsys):
     assert "light-tailed" in capsys.readouterr().err
 
 
+def test_kappa_below_probe_grid(tmp_path, capsys):
+    # kappa = 0.0012874 lies below the 2**-6 .. 2**6 probe grid
+    slow = tmp_path / "slow.toml"
+    slow.write_text('states = ["a", "b"]\nepsilon = "0.05"\n'
+                    'H = [["0.999", "0.001"], ["0.001", "0.999"]]\nomega = ["0.7", "0.4"]\n')
+    assert run_cli("kappa", "--config", slow) == 0
+    assert "kappa = 0.001287368268" in capsys.readouterr().out
+    assert run_cli("speed", "--config", slow) == 0
+    assert "kappa = 0.001287368268" in capsys.readouterr().out
+    assert run_cli("validate", "--config", slow) == 0
+    out = capsys.readouterr().out
+    assert "negative at beta=0.0009765625, nonnegative at beta=0.001953125" in out
+    assert out.splitlines()[-1] == "OK"
+
+
 def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as err:
         run_cli("kappa", "--config", K2, "--bogus")
@@ -160,6 +175,22 @@ def test_limit_check_boundary_index_reports_shift(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "side,record,x_or_b,cdf_or_ks,regime"
     assert lines[-2].startswith("T,summary,") and lines[-2].endswith(",{2}")
+
+
+def test_limit_check_x_side_passes_step_cap(monkeypatch, capsys):
+    from rwre import walksim
+    caps = []
+    sampler = walksim.annealed_hitting_sample
+
+    def spy(*args, step_cap=None, **kwargs):
+        caps.append(step_cap)
+        return sampler(*args, step_cap=step_cap, **kwargs)
+
+    monkeypatch.setattr(walksim, "annealed_hitting_sample", spy)
+    assert run_cli("limit-check", "--config", SUB1, "--n", 100, "--replicas", 1200,
+                   "--seed", 6, "--side", "X", "--step-cap", 10**7) == 0
+    assert caps == [10**7]
+    assert "X-side regime (0,1)" in capsys.readouterr().out
 
 
 def test_log_env_var_does_not_change_outputs(tmp_path, monkeypatch):

@@ -1,7 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 import chains
 from rwre import envmodel, spectral
@@ -56,10 +60,12 @@ def test_spectral_radius_identity_and_diagonal():
     assert not res.reliable_eigenvector
 
 
-def test_spectral_radius_periodic_regularized():
-    res = spectral.spectral_radius(np.array([[0.0, 2.0], [0.5, 0.0]]))
+def test_spectral_radius_periodic():
+    M = np.array([[0.0, 2.0], [0.5, 0.0]])  # eigenvalues +1 and -1
+    res = spectral.spectral_radius(M)
     assert res.radius == pytest.approx(1.0, abs=1e-10)
-    assert res.regularized
+    assert np.max(np.abs(M @ res.eigenvector - res.radius * res.eigenvector)) < 1e-10
+    assert np.all(res.eigenvector > 0)
 
 
 def test_spectral_radius_rejects_negative_entries():
@@ -138,6 +144,8 @@ def test_solve_kappa_wrong_direction_drift():
     )  # odds flipped: drift positive
     with pytest.raises(NumericalError, match="drift condition fails"):
         spectral.solve_kappa(spec)
+    # the halving below the grid stops before Lambda sinks into rounding noise
+    assert envmodel.validate(spec).a3_negative_beta is None
 
 
 def test_solve_kappa_light_tails():
@@ -169,3 +177,141 @@ def test_sub_stochastic_radius_weak_coin_warns():
     spec = chains.chain_mk_k1()
     with pytest.warns(RuntimeWarning, match="too weak"):
         spectral.sub_stochastic_radius(spec, 1e-12, 1.0, regen_state=0)
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle and property tests
+# ---------------------------------------------------------------------------
+
+
+def _oracle_lambda(spec, beta):
+    return float(np.log(np.max(np.abs(np.linalg.eigvals(spec.H * spec.rho**beta)))))
+
+
+def _oracle_kappa(spec):
+    """Positive root of Lambda by brentq on dense eigvals; None if light-tailed."""
+    lo = 1.0
+    while _oracle_lambda(spec, lo) >= 0.0:
+        lo /= 2.0
+    hi = 2.0 * lo
+    while _oracle_lambda(spec, hi) < 0.0:
+        if hi >= 64.0:
+            return None
+        hi *= 2.0
+    return optimize.brentq(lambda b: _oracle_lambda(spec, b), hi / 2.0, hi,
+                           xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def _spec(H, omega):
+    states = tuple(f"s{i}" for i in range(len(omega)))
+    return envmodel.EnvironmentSpec(states=states, H=H, omega=omega, epsilon=0.05)
+
+
+@st.composite
+def random_chains(draw):
+    """Random 1-8-state chains; some rows sit near a cyclic shift (near-periodic)
+    or near the identity (near-reducible), with leakage ``e``."""
+    k = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k * k, max_size=k * k))
+    H = np.array(weights).reshape(k, k)
+    H /= H.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(["generic", "near-periodic", "near-reducible"]))
+    if kind != "generic":
+        e = draw(st.sampled_from([1e-2, 1e-4, 1e-6]))
+        P = np.roll(np.eye(k), 1, axis=1) if kind == "near-periodic" else np.eye(k)
+        H = (1.0 - e) * P + e * H
+        H /= H.sum(axis=1, keepdims=True)
+    omega = np.array(draw(st.lists(st.floats(0.25, 0.9), min_size=k, max_size=k)))
+    return _spec(H, omega)
+
+
+def _drift(spec):
+    return float(envmodel.stationary_distribution(spec.H) @ spec.log_rho())
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=random_chains())
+def test_solve_kappa_matches_dense_oracle(spec):
+    assume(_drift(spec) < 0.0)
+    expected = _oracle_kappa(spec)
+    if expected is None:
+        with pytest.raises(LightTailedError):
+            spectral.solve_kappa(spec)
+        return
+    # Leave out chains whose regeneration margin at kappa (state 0, coin 1/2)
+    # is below what double precision resolves: then the tilted residual
+    # radius lands on either side of one with the last bits of kappa.
+    theta = spec.H * np.where(np.arange(spec.n_states) == 0, 0.5, 1.0) * spec.rho**expected
+    assume(np.max(np.abs(np.linalg.eigvals(theta))) < 1.0 - 1e-9)
+    rep = spectral.solve_kappa(spec)
+    kappa = rep.kappa
+    assert kappa == pytest.approx(expected, rel=1e-12)
+    assert spectral.lyapunov_exponent(spec, kappa / 2) < 0.0 < \
+        spectral.lyapunov_exponent(spec, 2 * kappa)
+    assert rep.residual < 1e-10
+    assert np.all(rep.f_kappa > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    omega=st.lists(st.floats(0.1, 0.9), min_size=8, max_size=8),
+    beta=st.floats(0.0, 64.0),
+)
+def test_lyapunov_independent_rows_closed_form(row, omega, beta):
+    p = np.array(row) / sum(row)
+    spec = _spec(np.tile(p, (p.size, 1)), np.array(omega[: p.size]))
+    exact = math.log(float(p @ spec.rho**beta))
+    assert spectral.lyapunov_exponent(spec, beta) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Nonnegative k x k matrices: dense, sparse, or periodic with period p,
+    with links only from cyclic class c to class c + 1 (mod p)."""
+    k = draw(st.integers(1, 8))
+    M = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=k * k, max_size=k * k)))
+    M = M.reshape(k, k)
+    kind = draw(st.sampled_from(["dense", "sparse", "periodic"]))
+    if kind == "sparse":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+        M = M * keep.reshape(k, k)
+    elif kind == "periodic":
+        p = draw(st.integers(1, k))
+        cls = np.arange(k) % p
+        M = M * ((cls[None, :] - cls[:, None]) % p == 1 % p)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=nonnegative_matrices())
+def test_spectral_radius_matches_eigvals(M):
+    res = spectral.spectral_radius(M)
+    expected = float(np.max(np.abs(np.linalg.eigvals(M))))
+    assert res.radius == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    if res.reliable_eigenvector:
+        v = res.eigenvector
+        assert np.max(np.abs(M @ v - res.radius * v)) <= 1e-10 * res.radius
+        assert np.all(v > 0)
+
+
+@pytest.mark.filterwarnings("ignore:regeneration coin too weak")
+@pytest.mark.parametrize("e, expected", [(1e-4, 22.715386400901), (1e-6, 34.0732408093)])
+def test_solve_kappa_stiff_near_periodic_chain(e, expected):
+    # Power iteration needed 31.7 s and 37.4 s here; one eigensolve per probe
+    # takes milliseconds, so the bound catches a return to iteration.
+    spec = _spec(np.array([[e, 1 - e], [1 - e, e]]), np.array([0.7, 0.4]))
+    start = time.perf_counter()
+    kappa = spectral.solve_kappa(spec).kappa
+    assert time.perf_counter() - start < 1.0
+    assert kappa == pytest.approx(expected, rel=1e-11)
+    assert kappa == pytest.approx(_oracle_kappa(spec), rel=1e-12)
+
+
+def test_solve_kappa_below_probe_grid():
+    spec = _spec(np.array([[0.999, 0.001], [0.001, 0.999]]), np.array([0.7, 0.4]))
+    kappa = spectral.solve_kappa(spec).kappa
+    assert kappa == pytest.approx(0.0012873682684796, rel=1e-12)
+    rep = envmodel.validate(spec)
+    assert rep.a3_negative_beta < kappa <= rep.a3_nonnegative_beta
+    assert rep.ok
