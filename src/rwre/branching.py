@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, MinorizationSplit
+from .envmodel import EnvironmentSpec, MinorizationSplit, chain_move
 from .errors import ModelError, NumericalError
 from .walksim import run_to_hit, sample_environment
 
@@ -389,8 +389,7 @@ def branch_population_sums(
     for _ in range(n):
         total += Z
         Z = rng.negative_binomial(Z + 1, spec.omega[states])
-        u = rng.random(replicas)
-        states = (u[:, None] > cum_fwd[states]).sum(axis=1)
+        states = chain_move(cum_fwd, states, rng.random(replicas))
     return total
 
 

@@ -29,6 +29,7 @@ from .errors import ModelError
 __all__ = [
     "EnvironmentSpec",
     "ChainTable",
+    "chain_move",
     "ValidationReport",
     "ArithmeticSpan",
     "MinorizationSplit",
@@ -129,8 +130,9 @@ class ChainTable:
     ``cum_pi`` is the cumulative stationary law; row ``x`` of ``cum_fwd``
     (``cum_rev``) is the cumulative forward (time-reversed) kernel from
     ``x``; ``fwd_rows`` and ``rev_rows`` hold the same rows as Python lists
-    for scalar ``bisect`` walks.  Arrays are read-only.  The reversed
-    kernel is built, and checked, on first use only.
+    for scalar ``bisect`` walks.  Every cumulative row ends at exactly 1.0,
+    so a uniform never lands past the last state.  Arrays are read-only.
+    The reversed kernel is built, and checked, on first use only.
     """
 
     H: np.ndarray
@@ -142,25 +144,42 @@ class ChainTable:
     @classmethod
     def of(cls, H: np.ndarray) -> ChainTable:
         pi = _read_only(stationary_distribution(H))
-        cum_pi = _read_only(np.cumsum(pi))
-        cum_fwd = _read_only(np.cumsum(H, axis=1))
-        return cls(H, pi, cum_pi, cum_fwd, cum_fwd.tolist())
+        cum_fwd = _closed_cumsum(H)
+        return cls(H, pi, _closed_cumsum(pi), cum_fwd, cum_fwd.tolist())
 
     @cached_property
     def rev(self) -> np.ndarray:
+        # row y sums to (pi H)(y) / pi(y): check the balance, not the ratio
         rev = (self.H * self.pi[:, None]).T / self.pi[:, None]
-        resid = float(np.max(np.abs(rev.sum(axis=1) - 1.0)))
+        resid = float(np.max(np.abs(rev.sum(axis=1) - 1.0) * self.pi))
         if resid > 1e-12:
             raise ModelError(f"reversed kernel is not stochastic: residual {resid:.3g}")
         return _read_only(rev)
 
     @cached_property
     def cum_rev(self) -> np.ndarray:
-        return _read_only(np.cumsum(self.rev, axis=1))
+        return _closed_cumsum(self.rev)
 
     @cached_property
     def rev_rows(self) -> list[list[float]]:
         return self.cum_rev.tolist()
+
+
+def chain_move(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One chain move per lane: how many entries of row ``states[i]`` of
+    ``cum`` lie below ``u[i]``, summed one cumulative column at a time."""
+    out = np.zeros(states.shape[0], dtype=np.int64)
+    for k in range(cum.shape[1]):
+        out += u > cum[:, k][states]
+    return out
+
+
+def _closed_cumsum(P: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the final plateau set to 1.0 so
+    that a row summing to ``1 - ROW_SUM_TOL`` leaves no gap past its end."""
+    cum = np.cumsum(P, axis=-1)
+    cum[cum >= cum[..., -1:]] = 1.0
+    return _read_only(cum)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

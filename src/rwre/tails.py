@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import EnvironmentSpec
+from .envmodel import EnvironmentSpec, chain_move
 from .errors import ModelError, NumericalError
 
 __all__ = [
@@ -84,8 +84,7 @@ def _perpetuity_chunk(spec, lanes, rng, tol):
             prod = prod[keep]
             states = states[keep]
         if active.size:
-            u = rng.random(active.size)
-            states = (u[:, None] > cum_fwd[states]).sum(axis=1)
+            states = chain_move(cum_fwd, states, rng.random(active.size))
     return value
 
 
@@ -291,8 +290,7 @@ def _tilted_chunk(lanes, rng, cum_pi, cum_tilt, rho, log_ratio, threshold, tol):
             states = states[keep]
             log_w = log_w[keep]
         if active.size:
-            u = rng.random(active.size)
-            new_states = (u[:, None] > cum_tilt[states]).sum(axis=1)
+            new_states = chain_move(cum_tilt, states, rng.random(active.size))
             log_w = log_w + log_ratio[states, new_states]
             states = new_states
     return weights, success

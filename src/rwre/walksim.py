@@ -13,6 +13,9 @@ Two engines produce hitting-time samples:
 
 Environment windows are two-sided and extend themselves on demand when
 they were generated from a model; fixed windows raise instead.
+
+Positions come from ``annealed_position_sample``: lockstep lanes of walks
+on one site-major window buffer, grown in place, edges tested on a countdown.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec
+from .envmodel import EnvironmentSpec, chain_move
 from .errors import ModelError, NumericalError, WindowError
 
 __all__ = [
@@ -39,12 +42,6 @@ __all__ = [
 DEFAULT_STEP_CAP = 10**9
 _EXTEND_CHUNK = 64
 _EXPLOSION_LIMIT = 2**60
-
-
-def _categorical(cumrows: np.ndarray, states: np.ndarray, rng) -> np.ndarray:
-    """Vectorized one-step chain move given cumulative transition rows."""
-    u = rng.random(states.shape[0])
-    return (u[:, None] > cumrows[states]).sum(axis=1)
 
 
 def _chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:
@@ -299,7 +296,7 @@ def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
         total += counts
         if np.any(counts > _EXPLOSION_LIMIT):
             raise NumericalError("left-move count explosion in block engine")
-        states = _categorical(cum_fwd, states, rng)
+        states = chain_move(cum_fwd, states, rng.random(replicas))
 
     # Sites below the origin: no forced crossing; lanes retire at zero count.
     active = np.flatnonzero(counts > 0)
@@ -315,7 +312,7 @@ def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
         keep = counts > 0
         active = active[keep]
         counts = counts[keep]
-        states = _categorical(cum_fwd, states[keep], rng) if active.size else states[:0]
+        states = chain_move(cum_fwd, states[keep], rng.random(active.size))
 
     values = n + 2.0 * total
     if step_cap is None:
@@ -369,9 +366,17 @@ def annealed_position_sample(
 ) -> np.ndarray:
     """Walker positions after ``n_steps`` steps, one fresh environment each.
 
-    Lanes run in lockstep over a shared step counter; per-lane environments
-    are materialized columnwise and widened when any lane touches a window
-    edge.  Deterministic for fixed ``(spec, n_steps, seed)``.
+    Replicas run in batches of ``batch`` lanes, batch ``b`` on the stream
+    ``derive_rng(seed, b)``; a batch's lanes step in lockstep, one uniform
+    each per step.  Their environments share one site-major buffer: row
+    ``r`` holds every lane's ``omega`` at one site, and a lane at row ``r``
+    reads flat index ``r * lanes + lane``.  After a step that leaves a lane
+    on a window edge, that side grows by ``_EXTEND_CHUNK`` sites (left
+    before right) from the kept edge states, in place, or into a copy with
+    a window's height of head-room added on both sides once a side runs
+    short.  A lane moves one site per step, so the edges are re-measured
+    only when a countdown, the distance from the nearest edge to its
+    closest lane, runs out.  Deterministic for fixed ``(spec, n_steps, seed)``.
     """
     out = np.empty(replicas, dtype=np.int64)
     done = 0
@@ -384,36 +389,42 @@ def annealed_position_sample(
     return out
 
 
-def _lane_walk(cumrows: np.ndarray, s: np.ndarray, count: int, rng) -> np.ndarray:
-    """``count`` lockstep chain moves from the lane states ``s``, one column each."""
-    cols = np.empty((s.shape[0], count), dtype=np.int64)
-    for j in range(count):
-        s = _categorical(cumrows, s, rng)
-        cols[:, j] = s
-    return cols
-
-
 def _position_batch(spec, n_steps, lanes, rng):
-    table = spec.chain
-    s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
-    down = _lane_walk(table.cum_fwd, s0, _EXTEND_CHUNK, rng)
-    up = _lane_walk(table.cum_rev, s0, _EXTEND_CHUNK, rng)
-    states = np.concatenate([down[:, ::-1], s0[:, None], up], axis=1)
-    omega = spec.omega[states]
-    left = _EXTEND_CHUNK
+    table, chunk = spec.chain, _EXTEND_CHUNK
 
-    rows = np.arange(lanes)
-    pos = np.zeros(lanes, dtype=np.int64)
+    def fill(rows, cum, s):
+        # one lockstep chain move from ``s`` per buffer row
+        for r in rows:
+            s = chain_move(cum, s, rng.random(lanes))
+            buf[r] = spec.omega[s]
+        return s
+
+    s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
+    origin, lo, hi = 2 * chunk, chunk, 3 * chunk  # buffer rows of sites 0, -left, right
+    buf = np.empty((4 * chunk + 1, lanes))
+    buf[origin] = spec.omega[s0]
+    s_lo = fill(range(origin - 1, lo - 1, -1), table.cum_fwd, s0)
+    s_hi = fill(range(origin + 1, hi + 1), table.cum_rev, s0)
+    idx = origin * lanes + np.arange(lanes)
+    countdown = chunk
     for _ in range(n_steps):
         u = rng.random(lanes)
-        pos += np.where(u < omega[rows, pos + left], 1, -1)
-        if pos.min() + left == 0:
-            cols = _lane_walk(table.cum_fwd, states[:, 0], _EXTEND_CHUNK, rng)[:, ::-1]
-            states = np.concatenate([cols, states], axis=1)
-            omega = np.concatenate([spec.omega[cols], omega], axis=1)
-            left += _EXTEND_CHUNK
-        if pos.max() + left == omega.shape[1] - 1:
-            cols = _lane_walk(table.cum_rev, states[:, -1], _EXTEND_CHUNK, rng)
-            states = np.concatenate([states, cols], axis=1)
-            omega = np.concatenate([omega, spec.omega[cols]], axis=1)
-    return pos
+        idx += np.where(u < buf.take(idx), lanes, -lanes)
+        countdown -= 1
+        if countdown:
+            continue
+        if lo < chunk or hi + chunk >= len(buf):  # a side is short of head-room
+            shift = hi - lo + 1
+            new = np.empty((len(buf) + 2 * shift, lanes))
+            new[lo + shift:hi + shift + 1] = buf[lo:hi + 1]
+            buf, lo, hi, origin = new, lo + shift, hi + shift, origin + shift
+            idx += shift * lanes
+        if idx.min() // lanes == lo:
+            s_lo = fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd, s_lo)
+            lo -= chunk
+        if idx.max() // lanes == hi:
+            s_hi = fill(range(hi + 1, hi + chunk + 1), table.cum_rev, s_hi)
+            hi += chunk
+        # no lane can reach an edge in fewer steps than this
+        countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)
+    return idx // lanes - origin

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,12 @@ def test_population_explosion_aborts():
                                     omega=np.array([0.25]), epsilon=0.1)
     with pytest.raises(NumericalError, match="explosion"):
         branching.sample_branching(spec, 5000, derive_rng(16, 0))
+
+
+def test_branch_population_sums_golden():
+    sums = branching.branch_population_sums(chains.chain_mk_k2(), 200, 2000, derive_rng(6, 2))
+    text = ",".join(map(str, sums.tolist()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8806800de3859a8f"
 
 
 def test_branching_vs_walk_single_site_trivial():

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chains
 from rwre import envmodel
@@ -120,6 +122,63 @@ def test_reverse_kernel_involution_and_invariance():
         spec_rev = EnvironmentSpec(states=spec.states, H=rev,
                                    omega=spec.omega, epsilon=spec.epsilon)
         assert np.max(np.abs(envmodel.reverse_kernel(spec_rev) - H)) < 1e-12
+
+
+def _broadcast_move(cum, states, u):
+    return (u[:, None] > cum[states]).sum(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=64, max_size=64),
+    states=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    u=st.lists(st.floats(-0.5, 1.5), min_size=40, max_size=40),
+)
+def test_chain_move_matches_broadcast_oracle(k, weights, states, u):
+    cum = np.cumsum(np.reshape(weights[:k * k], (k, k)), axis=1)
+    s = np.array(states) % k
+    # arbitrary uniforms, and every cumulative entry itself (ties)
+    for uu in (np.array(u[:s.size]), cum[s, np.arange(s.size) % k]):
+        got = envmodel.chain_move(cum, s, uu)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _broadcast_move(cum, s, uu))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_reverse_kernel_accepts_sparse_dirichlet_chains(k, seed):
+    # Dirichlet(0.05) rows leave states of tiny stationary mass, where an
+    # absolute bound on the reversed rows' sums rejected valid chains.
+    H = np.random.default_rng(seed).dirichlet(np.full(k, 0.05), size=k)
+    assume(envmodel.is_irreducible(H))
+    try:
+        table = envmodel.ChainTable.of(H)
+    except ModelError:
+        assume(False)  # the stationary solve itself is out of reach
+    rev = table.rev
+    assert np.all(rev >= 0)
+    assert np.max(np.abs(rev.sum(axis=1) - 1.0) * table.pi) <= 1e-12
+    balance = table.pi[:, None] * H - (table.pi[:, None] * rev).T
+    assert np.max(np.abs(balance)) <= 1e-15
+    assert np.all(table.cum_rev[:, -1] == 1.0)
+
+
+def test_cumulative_rows_close_at_one():
+    # Row 0 sums to 1 - 5e-13 (within ROW_SUM_TOL) and ends in a zero.
+    H = np.array([[0.3, 0.7 - 5e-13, 0.0], [0.2, 0.3, 0.5], [0.5, 0.25, 0.25]])
+    spec = EnvironmentSpec(states=("a", "b", "c"), H=H,
+                           omega=np.array([0.3, 0.5, 0.7]), epsilon=0.1)
+    table = spec.chain
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(H, axis=1)[0, -1] < top
+    for cum in (table.cum_fwd, table.cum_rev, table.cum_pi[None, :]):
+        assert np.all(cum[:, -1] == 1.0)
+    u = np.full(3, top)
+    # the gap goes to the last state of positive probability, not past it
+    assert envmodel.chain_move(table.cum_fwd, np.arange(3), u).tolist() == [1, 2, 2]
+    assert table.fwd_rows[0] == [0.3, 1.0, 1.0]
+    assert table.cum_fwd[0, 0] == 0.3
 
 
 def test_arithmetic_half_two_span_log2():

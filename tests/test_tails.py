@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,25 @@ import chains
 from rwre import spectral, tails
 from rwre._rng import derive_rng
 from rwre.errors import ModelError, NumericalError
+
+
+def _sha(values) -> str:
+    text = ",".join(map(repr, np.asarray(values).tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_perpetuity_golden_draws():
+    r = tails.sample_perpetuity(chains.chain_mk_k2(), 20000, derive_rng(6, 0))
+    assert _sha(r) == "5ac8f771669cb4f3"
+
+
+def test_tilted_sampler_golden_weights():
+    # the estimate's mean, standard error and ESS move with any weight
+    spec = chains.chain_mk_k2()
+    sol = spectral.solve_kappa(spec)
+    e = tails.tilted_tail_sampler(spec, sol.kappa, sol.f_kappa, 500.0, 3000, derive_rng(6, 1))
+    summary = [e.probability, e.std_error, e.effective_sample_size, e.successes]
+    assert _sha(summary) == "6482a738158323ef"
 
 
 def test_perpetuity_single_state_geometric_sum():

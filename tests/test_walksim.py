@@ -71,12 +71,61 @@ def test_environment_extension_golden_draws(name):
     assert np.array_equal(env.omega, spec.omega[env.states])
 
 
+def _sha(values) -> str:
+    text = ",".join(map(repr, np.asarray(values).tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# A left-drifting 4-state chain: its walks run a few hundred sites below the
+# origin, so the position sampler's window grows on the left several times.
+DEEP = envmodel.EnvironmentSpec(
+    states=("a", "b", "c", "d"),
+    H=np.array([[0.6, 0.2, 0.1, 0.1], [0.25, 0.5, 0.15, 0.1],
+                [0.1, 0.2, 0.4, 0.3], [0.3, 0.1, 0.2, 0.4]]),
+    omega=np.array([0.35, 0.55, 0.3, 0.45]),
+    epsilon=0.05,
+)
+
+
+def test_position_sample_golden_across_batches():
+    # 600 replicas: one full 512-lane batch and one of 88; the walks drift
+    # right, so every batch extends its window on the right.
+    x = walksim.annealed_position_sample(chains.nonarith_k2(), 3000, 600, seed=5)
+    assert (x.min(), x.max()) == (1598, 2334)
+    assert _sha(x) == "436f1b163878080b"
+
+
+def test_position_sample_golden_deep_left():
+    x = walksim.annealed_position_sample(DEEP, 1500, 40, seed=3)
+    assert (x.min(), x.max()) == (-346, -60)
+    assert _sha(x) == "08cd2f76d6d2fe6f"
+
+
+def test_blocks_sample_golden():
+    h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
+    assert _sha(h.values) == "57614ffa1aaf7a02"
+
+
+def test_position_sampler_runs_on_state_of_small_stationary_mass():
+    # pi(1) is about 2e-6, so the reversed rows' sums miss 1 by ~1e-11.
+    spec = envmodel.EnvironmentSpec(
+        states=("a", "b"), H=np.array([[1 - 1e-6, 1e-6], [0.5, 0.5]]),
+        omega=np.array([0.6, 0.4]), epsilon=0.05,
+    )
+    x = walksim.annealed_position_sample(spec, 400, 50, seed=2)
+    assert np.all((x + 400) % 2 == 0)
+    env = walksim.sample_environment(spec, 5, 200, derive_rng(2, 0))
+    assert env.states.shape == (206,)
+
+
 def test_chain_table_is_cached_and_read_only():
     spec = chains.chain_mk_k2()
     table = spec.chain
     assert spec.chain is table
     assert np.array_equal(table.pi, envmodel.stationary_distribution(spec.H))
-    assert np.array_equal(table.cum_rev, np.cumsum(envmodel.reverse_kernel(spec), axis=1))
+    cum_rev = np.cumsum(envmodel.reverse_kernel(spec), axis=1)
+    assert np.array_equal(table.cum_rev[:, :-1], cum_rev[:, :-1])
+    assert np.all(table.cum_rev[:, -1] == 1.0)  # closed, here from 1 + 2e-16
     assert table.rev_rows == table.cum_rev.tolist()
     with pytest.raises(ValueError):
         table.cum_fwd[0, 0] = 0.0
