@@ -256,8 +256,9 @@ def stationary_distribution(H: np.ndarray) -> np.ndarray:
     """Stationary probability vector of an irreducible stochastic matrix.
 
     Solved as a dense linear system (one balance equation replaced by the
-    normalization), which also handles periodic chains; the residual
-    ``max |pi H - pi|`` is checked against 1e-12.
+    normalization), which also handles periodic chains.  A state whose
+    mass the solve leaves at or below zero is reported by name; otherwise
+    the residual ``max |pi H - pi|`` is checked against 1e-12.
     """
     H = np.asarray(H, dtype=float)
     comps = _strong_components(H)
@@ -271,8 +272,14 @@ def stationary_distribution(H: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     pi = np.linalg.solve(A, b)
     pi = pi / pi.sum()
+    if np.any(pi <= 0):
+        i = int(np.argmin(pi))
+        raise ModelError(
+            f"stationary mass of state {i} is below double resolution: the solve gives "
+            f"pi[{i}] = {pi[i]:.3g}"
+        )
     resid = float(np.max(np.abs(pi @ H - pi)))
-    if resid > 1e-12 or np.any(pi <= 0):
+    if resid > 1e-12:
         raise ModelError(f"stationary solve failed: residual {resid:.3g}")
     return pi
 

@@ -279,10 +279,24 @@ def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:
     return HittingSample(n=n, values=values, steps=steps, censored=censored)
 
 
+def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:
+    """Negative-binomial left-move counts, checked before the draw.
+
+    numpy refuses a draw whose mean ``size (1 - p) / p`` nears 2**63 (its
+    Poisson rate limit).  The count has exploded long before that, so a
+    mean bound ``max(size) * max_odds`` above ``_EXPLOSION_LIMIT`` is a
+    ``NumericalError``.  The check consumes no draws.
+    """
+    if np.max(size, initial=0) * max_odds > _EXPLOSION_LIMIT:
+        raise NumericalError("left-move count explosion in block engine")
+    return rng.negative_binomial(size, p)
+
+
 def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
     rng = derive_rng(seed, 0)
     cum_fwd = spec.chain.cum_fwd
     omega = spec.omega
+    max_odds = float(spec.rho.max())
 
     u = rng.random(replicas)
     states = np.searchsorted(spec.chain.cum_pi, u, side="right")
@@ -292,10 +306,8 @@ def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
     # Sites n-1 down to 0: one forced crossing each, so the left-move count
     # at a site is negative-binomial with size (count above + 1).
     for _ in range(n):
-        counts = rng.negative_binomial(counts + 1, omega[states])
+        counts = _left_moves(rng, counts + 1, omega[states], max_odds)
         total += counts
-        if np.any(counts > _EXPLOSION_LIMIT):
-            raise NumericalError("left-move count explosion in block engine")
         states = chain_move(cum_fwd, states, rng.random(replicas))
 
     # Sites below the origin: no forced crossing; lanes retire at zero count.
@@ -307,7 +319,7 @@ def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
         depth += 1
         if depth > 100_000:
             raise NumericalError("walk excursion below origin did not terminate")
-        counts = rng.negative_binomial(counts, omega[states])
+        counts = _left_moves(rng, counts, omega[states], max_odds)
         total[active] += counts
         keep = counts > 0
         active = active[keep]

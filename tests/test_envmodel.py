@@ -47,6 +47,14 @@ def test_stationary_reducible_names_components():
         envmodel.stationary_distribution(np.eye(2))
 
 
+def test_stationary_mass_below_resolution_named():
+    # Dirichlet(0.05) rows from default_rng(1): pi(0) = H[1,0] / (H[0,1] + H[1,0])
+    # is 2.7e-41, but 1 - H[1,1] rounds to 0 and the solve returns pi(0) = 0.
+    H = np.array([[0.0962308604878652, 0.9037691395121348], [2.4058383179789245e-41, 1.0]])
+    with pytest.raises(ModelError, match=r"mass of state 0 .* pi\[0\] = 0$"):
+        envmodel.stationary_distribution(H)
+
+
 def test_validate_identity_chain_not_irreducible():
     spec = EnvironmentSpec(states=("a", "b"), H=np.eye(2),
                            omega=np.array([2 / 3, 1 / 3]), epsilon=0.05)

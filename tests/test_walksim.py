@@ -7,7 +7,7 @@ from scipy import stats
 import chains
 from rwre import envmodel, walksim
 from rwre._rng import derive_rng
-from rwre.errors import ModelError, WindowError
+from rwre.errors import ModelError, NumericalError, WindowError
 
 
 def test_environment_deterministic_under_seed():
@@ -104,6 +104,18 @@ def test_position_sample_golden_deep_left():
 def test_blocks_sample_golden():
     h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
     assert _sha(h.values) == "57614ffa1aaf7a02"
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_blocks_count_explosion_is_numerical_error(n):
+    # Sticky chain with a strongly left-drifting state: the left-move counts
+    # grow past what numpy's negative-binomial sampler accepts.
+    spec = envmodel.EnvironmentSpec(
+        states=("a", "b"), H=np.array([[0.999, 0.001], [0.001, 0.999]]),
+        omega=np.array([0.05, 0.97]), epsilon=0.01,
+    )
+    with pytest.raises(NumericalError, match="explosion"):
+        walksim.annealed_hitting_sample(spec, n, 200, seed=7)
 
 
 def test_position_sampler_runs_on_state_of_small_stationary_mass():
