@@ -141,6 +141,15 @@ def test_cdf_properties(kappa, b, s):
         assert F[mags.size] == pytest.approx(0.0 if kappa < 1.0 else 1.0 / kappa, abs=1e-15)
 
 
+def test_cdf_non_finite_points():
+    for kappa in (0.5, 1.0, 1.5, 2.0):
+        params = StableParams(kappa, 1.3)
+        assert math.isnan(stable_cdf(params, math.nan))
+        F = stable_cdf(params, np.array([-np.inf, np.nan, 0.7, np.inf]))
+        assert F[0] == 0.0 and math.isnan(F[1]) and F[3] == 1.0
+        assert abs(F[2] - stable_cdf(params, 0.7)) < 1e-12
+
+
 def test_cdf_symmetric_at_index_two():
     assert stable_cdf(StableParams(2.0, 1.3), 0.0) == pytest.approx(0.5, abs=1e-9)
 
@@ -155,9 +164,8 @@ def test_cdf_positive_support_below_index_one():
 def test_cdf_monotone_with_limits():
     for kappa in (0.5, 0.99, 1.0, 1.01, 1.5, 2.0):
         params = StableParams(kappa, 1.0)
-        xs = np.linspace(-60, 160, 111)
-        F = [stable_cdf(params, x) for x in xs]
-        assert all(F[i + 1] >= F[i] - 1e-8 for i in range(len(F) - 1))
+        F = stable_cdf(params, np.linspace(-60, 160, 111))
+        assert np.all(np.diff(F) >= -1e-8)
         assert F[0] < 0.99 and F[-1] > 0.4
     assert stable_cdf(StableParams(1.5, 1.0), -1e6) < 1e-6
     assert stable_cdf(StableParams(1.5, 1.0), 1e7) > 1 - 1e-4
@@ -190,8 +198,8 @@ def test_cdf_zero_mean_above_index_one():
     kappa, b = 1.8, 1.0
     params = StableParams(kappa, b)
     grid = np.linspace(0.0, 200.0, 2001)
-    upper = np.trapezoid([1.0 - stable_cdf(params, x) for x in grid], grid)
-    lower = np.trapezoid([stable_cdf(params, -x) for x in grid], grid)
+    upper = np.trapezoid(1.0 - stable_cdf(params, grid), grid)
+    lower = np.trapezoid(stable_cdf(params, -grid), grid)
     c_k = (1 - kappa) / (math.gamma(2 - kappa) * math.cos(math.pi * kappa / 2))
     tail_bound = abs(c_k) * 2 * b * 200.0 ** (1 - kappa) / (kappa - 1)
     assert abs(upper - lower) < tail_bound + 1e-3

@@ -1,16 +1,19 @@
 """Record benchmark medians for one change in ``BENCH_<pr>.json``.
 
-Runs ``perfbench/run.py --trace 0`` for every workload and seed in each
-given source tree, interleaving the trees seed by seed so that drift of
-the host's speed hits them alike, and writes the medians of ``cpu_s``,
-``setup_s`` and ``peak_rss_mb`` per workload with the tree's commit:
+Runs ``perfbench/run.py --trace 0`` at its default length for every
+workload and seed in each given source tree, interleaving the trees seed
+by seed and swapping their order on every other seed so that drift of the
+host's speed hits them alike, and writes the medians of ``cpu_s``,
+``setup_s`` and ``peak_rss_mb`` per workload with each tree's commit to
+``BENCH_<pr>.json`` at the root of this repository:
 
     python3 tools/bench_record.py --pr 7 --seeds 0 1 2 \\
         --tree parent=/path/to/parent/checkout --tree change=.
 
-Each tree must be a source checkout (perfbench imports rwre from its
-``src/``).  Every run's own metrics, verdict and failure count are kept
-next to the medians.
+Each tree must be a git checkout with no uncommitted changes to tracked
+files, so that the recorded commit is the code that ran (perfbench imports
+rwre from the tree's ``src/``).  Every run's own metrics, verdict and
+failure count are kept next to the medians.
 """
 
 from __future__ import annotations
@@ -26,20 +29,25 @@ WORKLOADS = ("limit-check", "walk-branching", "kappa-tails")
 METRICS = ("cpu_s", "setup_s", "peak_rss_mb")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     out = json.loads(res.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": out["correct"], "failed": out["failed"],
             **{m: out["metrics"][m]["value"] for m in METRICS}}
 
 
-def commit_of(tree: Path) -> str:
-    """The checked-out commit, suffixed ``-dirty`` when tracked files differ from it."""
-    cmd = ["git", "describe", "--always", "--dirty", "--abbrev=40"]
-    return subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+def git(tree: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def commit_of(tree: Path) -> str:
+    """The checked-out commit; a tree whose tracked files differ from it is refused."""
+    if git(tree, "status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"{tree} has uncommitted changes: commit them before recording")
+    return git(tree, "rev-parse", "HEAD")
 
 
 def main(argv=None) -> None:
@@ -48,24 +56,23 @@ def main(argv=None) -> None:
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    p.add_argument("--seconds", type=float, default=9.0)
-    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
-    result = {"pr": args.pr, "seconds": args.seconds, "trees": {
+    result = {"pr": args.pr, "trees": {
         label: {"commit": commit_of(path), "workloads": {}} for label, path in trees.items()}}
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label in trees}
-        for seed in args.seeds:
-            for label, path in trees.items():
-                runs[label].append(run_once(path, workload, seed, args.seconds))
+        for k, seed in enumerate(args.seeds):
+            order = list(trees.items())
+            for label, path in order[::-1] if k % 2 else order:
+                runs[label].append(run_once(path, workload, seed))
                 print(label, workload, runs[label][-1], file=sys.stderr, flush=True)
         for label in trees:
             result["trees"][label]["workloads"][workload] = {
                 **{m: statistics.median(r[m] for r in runs[label]) for m in METRICS},
                 "runs": runs[label]}
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(__file__).resolve().parents[1] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(out)
 
