@@ -16,9 +16,9 @@ import numpy as np
 from scipy import stats
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, MinorizationSplit, chain_move
+from .envmodel import EnvironmentSpec, MinorizationSplit, chain_move, chain_walk, closed_cumsum
 from .errors import ModelError, NumericalError
-from .walksim import run_to_hit, sample_environment
+from .walksim import reference_walks
 
 __all__ = [
     "BranchPath",
@@ -80,25 +80,9 @@ def sample_chain_path(
     spec: EnvironmentSpec, length: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Stationary chain trajectory of the given length (states only)."""
-    cum_rows = spec.chain.fwd_rows
-    k = spec.n_states
-    out = np.empty(length, dtype=np.int64)
     s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
-    out[0] = s
-    buf = rng.random(1 << 16)
-    bi = 0
-    for t in range(1, length):
-        if bi == len(buf):
-            buf = rng.random(1 << 16)
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        row = cum_rows[s]
-        s = 0
-        while s < k - 1 and u > row[s]:
-            s += 1
-        out[t] = s
-    return out
+    walk = chain_walk(spec.chain.fwd_rows, s, rng.random(length - 1).tolist())
+    return np.array([s, *walk], dtype=np.int64)
 
 
 def sample_branching(
@@ -248,9 +232,8 @@ def split_chain_with_regenerations(
     the path follows the original kernel.
     """
     m, r, psi, theta = split.m, split.r, split.psi, split.theta
-    cum_psi = np.cumsum(psi)
-    row_sums = theta.sum(axis=1)
-    cum_theta = np.cumsum(theta, axis=1)
+    cum_psi = closed_cumsum(psi)
+    cum_theta = np.cumsum(theta, axis=1)  # rows total 1 - r: scale each draw by its row's end
     cum_fwd = spec.chain.cum_fwd
     col_max = spec.H.max(axis=0)
 
@@ -264,8 +247,7 @@ def split_chain_with_regenerations(
             regens.append((j + 1) * m)
         else:
             row = cum_theta[x0]
-            total = row_sums[x0]
-            x_m = int(np.searchsorted(row, rng.random() * total, side="right"))
+            x_m = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
         if m > 1:
             states[j * m + 1:(j + 1) * m] = _bridge(
                 spec, cum_fwd, col_max, x0, x_m, m, rng
@@ -419,24 +401,17 @@ def branching_vs_walk_check(
     against partial population sums of the branching process over the same
     horizon; the two have the same annealed distribution.
     """
-    walk_sums = np.empty(replicas, dtype=np.int64)
-    done = 0
-    for idx in range(replicas):
-        env = sample_environment(spec, 16, n - 1, derive_rng(seed, idx, 0))
-        rec = run_to_hit(env, n, derive_rng(seed, idx, 1))
-        if rec.censored:
-            continue
-        start = max(1, rec.deepest_site)
-        walk_sums[done] = rec.left_moves[start - rec.deepest_site:].sum()
-        done += 1
-    if done < replicas // 2:
+    # left moves at sites 1..n; a walk's deepest site is never above 0
+    walk_sums = [rec.left_moves[1 - rec.deepest_site:].sum()
+                 for rec in reference_walks(spec, n, replicas, seed) if not rec.censored]
+    if len(walk_sums) < replicas // 2:
         raise NumericalError("too many censored walk replicas for the comparison")
     branch_sums = branch_population_sums(spec, n, replicas, derive_rng(seed, 1))
-    res = stats.ks_2samp(walk_sums[:done], branch_sums)
+    res = stats.ks_2samp(walk_sums, branch_sums)
     return KSVerdict(
         statistic=float(res.statistic),
         pvalue=float(res.pvalue),
-        n_left=done,
+        n_left=len(walk_sums),
         n_right=replicas,
         significance=significance,
     )

@@ -181,15 +181,9 @@ def _cmd_speed(args) -> int:
 
 def _cmd_simulate_walk(args) -> int:
     spec = envmodel.load_model(args.config)
-
-    rows = []
-    for idx in range(args.replicas):
-        env = walksim.sample_environment(spec, 64, args.n - 1, derive_rng(args.seed, idx, 0))
-        rec = walksim.run_to_hit(env, args.n, derive_rng(args.seed, idx, 1),
-                                 step_cap=args.step_cap)
-        value = rec.steps if rec.censored else rec.hitting_time
-        rows.append((idx, value, rec.steps, int(rec.censored)))
-
+    walks = walksim.reference_walks(spec, args.n, args.replicas, args.seed, args.step_cap)
+    # a walk stops on the step that hits n, so steps is also the hitting time
+    rows = [(idx, rec.steps, rec.steps, int(rec.censored)) for idx, rec in enumerate(walks)]
     values = np.array([r[1] for r in rows], dtype=float)
     censored = np.array([r[3] for r in rows], dtype=bool)
     done = values[~censored]

@@ -14,7 +14,8 @@ forward in time and positive sites read it through the time-reversed kernel.
 from __future__ import annotations
 
 import math
-import re
+import tomllib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -30,6 +31,8 @@ __all__ = [
     "EnvironmentSpec",
     "ChainTable",
     "chain_move",
+    "chain_walk",
+    "closed_cumsum",
     "ValidationReport",
     "ArithmeticSpan",
     "MinorizationSplit",
@@ -74,6 +77,8 @@ class EnvironmentSpec:
             raise ModelError(f"H must be {k}x{k}, got {H.shape}")
         if omega.shape != (k,):
             raise ModelError(f"omega must have {k} entries, got {omega.shape}")
+        if not (np.isfinite(H).all() and np.isfinite(omega).all()):
+            raise ModelError("H and omega must be finite")
         if np.any(H < 0):
             i = int(np.argwhere(H < 0)[0][0])
             raise ModelError(f"negative transition probability in row {i}")
@@ -144,8 +149,8 @@ class ChainTable:
     @classmethod
     def of(cls, H: np.ndarray) -> ChainTable:
         pi = _read_only(stationary_distribution(H))
-        cum_fwd = _closed_cumsum(H)
-        return cls(H, pi, _closed_cumsum(pi), cum_fwd, cum_fwd.tolist())
+        cum_fwd = closed_cumsum(H)
+        return cls(H, pi, closed_cumsum(pi), cum_fwd, cum_fwd.tolist())
 
     @cached_property
     def rev(self) -> np.ndarray:
@@ -158,7 +163,7 @@ class ChainTable:
 
     @cached_property
     def cum_rev(self) -> np.ndarray:
-        return _closed_cumsum(self.rev)
+        return closed_cumsum(self.rev)
 
     @cached_property
     def rev_rows(self) -> list[list[float]]:
@@ -174,7 +179,18 @@ def chain_move(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray
     return out
 
 
-def _closed_cumsum(P: np.ndarray) -> np.ndarray:
+def chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:
+    """States of successive chain moves from ``s``, one uniform each: the
+    scalar twin of :func:`chain_move`, a ``bisect_right`` on each
+    cumulative row (``searchsorted(side="right")`` semantics)."""
+    out = []
+    for u in uniforms:
+        s = bisect_right(rows[s], u)
+        out.append(s)
+    return out
+
+
+def closed_cumsum(P: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis, the final plateau set to 1.0 so
     that a row summing to ``1 - ROW_SUM_TOL`` leaves no gap past its end."""
     cum = np.cumsum(P, axis=-1)
@@ -422,8 +438,7 @@ def minorization_split(spec: EnvironmentSpec, m: int = 1) -> MinorizationSplit:
 # Model files
 # ---------------------------------------------------------------------------
 #
-# Model files are TOML-style key/value documents restricted to scalars,
-# strings and (nested) arrays:
+# Model files are TOML documents read by ``tomllib``:
 #
 #     states  = ["calm", "rough"]
 #     epsilon = "0.05"
@@ -435,63 +450,13 @@ def minorization_split(spec: EnvironmentSpec, m: int = 1) -> MinorizationSplit:
 # or as fraction strings ("2/3"); strings go through fractions.Fraction so
 # fixtures do not pick up binary-float drift from intermediate parsing.
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>[\s,]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<punct>[\[\]=])
-  | (?P<bare>[^\s\[\]=,#"]+)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokens(text: str):
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ModelError(f"cannot read model file near: {text[pos:pos + 20]!r}")
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        yield m.lastgroup, m.group()
-
-
-def _parse_value(toks: list[tuple[str, str]], i: int):
-    kind, tok = toks[i]
-    if kind == "string":
-        return tok[1:-1].replace('\\"', '"'), i + 1
-    if kind == "punct" and tok == "[":
-        out = []
-        i += 1
-        while True:
-            if i >= len(toks):
-                raise ModelError("unterminated array in model file")
-            if toks[i] == ("punct", "]"):
-                return out, i + 1
-            val, i = _parse_value(toks, i)
-            out.append(val)
-    if kind == "bare":
-        return tok, i + 1
-    raise ModelError(f"unexpected token {tok!r} in model file")
-
 
 def parse_model_text(text: str) -> dict:
     """Parse a model document into a plain dict of raw values."""
-    toks = list(_tokens(text))
-    doc = {}
-    i = 0
-    while i < len(toks):
-        kind, key = toks[i]
-        if kind != "bare":
-            raise ModelError(f"expected a key, got {key!r}")
-        if i + 1 >= len(toks) or toks[i + 1] != ("punct", "="):
-            raise ModelError(f"expected '=' after key {key!r}")
-        value, i = _parse_value(toks, i + 2)
-        doc[key] = value
-    return doc
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ModelError(f"cannot read model file: {exc}") from exc
 
 
 def _as_float(value) -> float:
@@ -500,7 +465,7 @@ def _as_float(value) -> float:
             return float(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse number {value!r}") from exc
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ModelError(f"expected a number, got {value!r}")
 

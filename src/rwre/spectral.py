@@ -184,8 +184,9 @@ def solve_kappa(
     bracket, whose grid values are the report's ``lambdas``.  The report
     carries the Perron vector of the kappa-tilted kernel normalized so that
     ``f[regen_state] * rho[regen_state]**kappa = 1``, plus the spectral
-    radius of the tilted between-regenerations kernel, which must sit
-    strictly below one.
+    radius of the tilted between-regenerations kernel and its margin below
+    one.  A margin that double precision cannot resolve only warns
+    (:func:`sub_stochastic_radius`): kappa does not depend on it.
     """
     pi = stationary_distribution(spec.H)
     drift = float(pi @ spec.log_rho())
@@ -214,11 +215,6 @@ def solve_kappa(
         perron.eigenvector[regen_state] * spec.rho[regen_state] ** kappa
     )
     theta_radius, margin = sub_stochastic_radius(spec, coin, kappa, regen_state)
-    if theta_radius >= 1.0:
-        raise NumericalError(
-            f"tilted residual kernel has radius {theta_radius:.6g} >= 1; "
-            "regeneration construction is invalid"
-        )
 
     return SpectralReport(
         kappa=kappa,

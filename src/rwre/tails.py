@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import EnvironmentSpec, chain_move
+from .envmodel import EnvironmentSpec, chain_move, closed_cumsum
 from .errors import ModelError, NumericalError
 
 __all__ = [
@@ -229,7 +229,7 @@ def tilted_tail_sampler(
             raise ModelError("twist eigenvector must be strictly positive")
         tilted = spec.H * rho[None, :] ** kappa * h[None, :] / h[:, None]
         tilted /= tilted.sum(axis=1, keepdims=True)
-    cum_tilt = np.cumsum(tilted, axis=1)
+    cum_tilt = closed_cumsum(tilted)
     # exact per-transition log likelihood ratio of original vs sampling kernel
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(spec.H > 0, np.log(spec.H) - np.log(tilted), 0.0)

@@ -20,13 +20,13 @@ on one site-major window buffer, grown in place, edges tested on a countdown.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, chain_move
+from .envmodel import EnvironmentSpec, chain_move, chain_walk
 from .errors import ModelError, NumericalError, WindowError
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "HittingSample",
     "sample_environment",
     "run_to_hit",
+    "reference_walks",
     "annealed_hitting_sample",
     "annealed_position_sample",
 ]
@@ -42,19 +43,6 @@ __all__ = [
 DEFAULT_STEP_CAP = 10**9
 _EXTEND_CHUNK = 64
 _EXPLOSION_LIMIT = 2**60
-
-
-def _chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:
-    """States of successive chain moves from ``s``, one uniform each.
-
-    Each move is the inverse CDF on a cumulative row with
-    ``searchsorted(side="right")`` semantics, done by ``bisect_right``.
-    """
-    out = []
-    for u in uniforms:
-        s = bisect_right(rows[s], u)
-        out.append(s)
-    return out
 
 
 @dataclass
@@ -78,15 +66,12 @@ class EnvPath:
     def extendable(self) -> bool:
         return self.spec is not None and self.rng is not None and self.states is not None
 
-    def omega_at(self, site: int) -> float:
-        return float(self.omega[site + self.left])
-
     def extend_left(self, count: int = _EXTEND_CHUNK) -> None:
         """Grow the window downward by continuing the forward chain."""
         if not self.extendable:
             raise WindowError("window too small and environment is fixed", -self.left)
-        new = _chain_walk(self.spec.chain.fwd_rows, int(self.states[0]),
-                          self.rng.random(count).tolist())
+        new = chain_walk(self.spec.chain.fwd_rows, int(self.states[0]),
+                         self.rng.random(count).tolist())
         new_states = np.array(new[::-1], dtype=np.int64)
         self.states = np.concatenate([new_states, self.states])
         self.omega = np.concatenate([self.spec.omega[new_states], self.omega])
@@ -96,8 +81,8 @@ class EnvPath:
         """Grow the window upward by continuing the reversed chain."""
         if not self.extendable:
             raise WindowError("window too small and environment is fixed", self.right)
-        new = _chain_walk(self.spec.chain.rev_rows, int(self.states[-1]),
-                          self.rng.random(count).tolist())
+        new = chain_walk(self.spec.chain.rev_rows, int(self.states[-1]),
+                         self.rng.random(count).tolist())
         new_states = np.array(new, dtype=np.int64)
         self.states = np.concatenate([self.states, new_states])
         self.omega = np.concatenate([self.omega, self.spec.omega[new_states]])
@@ -122,8 +107,8 @@ def sample_environment(
     table = spec.chain
     u = rng.random(left + right + 1).tolist()
     s0 = int(np.searchsorted(table.cum_pi, u[0], side="right"))
-    down = _chain_walk(table.fwd_rows, s0, u[1:left + 1])
-    up = _chain_walk(table.rev_rows, s0, u[left + 1:])
+    down = chain_walk(table.fwd_rows, s0, u[1:left + 1])
+    up = chain_walk(table.rev_rows, s0, u[left + 1:])
     states = np.array(down[::-1] + [s0] + up, dtype=np.int64)
     return EnvPath(
         left=left,
@@ -266,17 +251,30 @@ class HittingSample:
         return self.values[~self.censored]
 
 
-def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:
-    values = np.empty(replicas, dtype=float)
-    steps = np.empty(replicas, dtype=np.int64)
-    censored = np.zeros(replicas, dtype=bool)
+def reference_walks(
+    spec: EnvironmentSpec,
+    n: int,
+    replicas: int,
+    seed: int,
+    step_cap: int = DEFAULT_STEP_CAP,
+) -> Iterator[WalkRecord]:
+    """One reference walk to site ``n`` per replica, in replica order.
+
+    Replica ``idx`` samples its window over ``[-_EXTEND_CHUNK, n - 1]`` from
+    ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``.
+    """
     for idx in range(replicas):
         env = sample_environment(spec, _EXTEND_CHUNK, n - 1, derive_rng(seed, idx, 0))
-        rec = run_to_hit(env, n, derive_rng(seed, idx, 1), step_cap=step_cap)
-        steps[idx] = rec.steps
-        censored[idx] = rec.censored
-        values[idx] = rec.steps if rec.censored else rec.hitting_time
-    return HittingSample(n=n, values=values, steps=steps, censored=censored)
+        yield run_to_hit(env, n, derive_rng(seed, idx, 1), step_cap=step_cap)
+
+
+def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:
+    # a walk stops on the step that hits n, so steps is the hitting time
+    steps, censored = zip(*((rec.steps, rec.censored)
+                            for rec in reference_walks(spec, n, replicas, seed, step_cap)))
+    steps = np.array(steps, dtype=np.int64)
+    return HittingSample(n=n, values=steps.astype(float), steps=steps,
+                         censored=np.array(censored, dtype=bool))
 
 
 def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:

@@ -86,3 +86,19 @@ def single_state(rho: float, epsilon: float = 0.05) -> EnvironmentSpec:
 # Tail index of nonarith_sub1 from 40-digit mpmath eigenvalues, rounded to a
 # double; the spectral solver reproduces it to the last digit.
 SUB1_KAPPA = 0.6682457347296428
+
+
+class TopUniforms:
+    """Generator stub: the given scalar uniforms first, then only the
+    largest double below one, 1 - 2**-53, which a cumulative table that
+    ends short of one sends past its last state."""
+
+    TOP = float(np.nextafter(1.0, 0.0))
+
+    def __init__(self, *lead: float):
+        self.lead = list(lead)
+
+    def random(self, size=None):
+        if size is not None:
+            return np.full(size, self.TOP)
+        return self.lead.pop(0) if self.lead else self.TOP

@@ -100,10 +100,7 @@ def test_criterion_05_per_path_identity():
     holds = 0
     for make, n, base in ((chains.chain_mk_k2, 60, 105_000),
                           (chains.chain_mk_k1, 30, 205_000)):
-        spec = make()
-        for i in range(5000):
-            env = walksim.sample_environment(spec, 16, n - 1, derive_rng(base, i, 0))
-            rec = walksim.run_to_hit(env, n, derive_rng(base, i, 1))
+        for rec in walksim.reference_walks(make(), n, 5000, seed=base):
             total += 1
             holds += int(rec.identity_holds)
     ok = total == 10_000 and holds == total

@@ -170,6 +170,22 @@ def test_split_construction_matches_two_step_kernel():
     assert abs(freq - split.psi[0]) < 4 * se
 
 
+def test_split_tables_closed_at_top_uniform():
+    # cumsum(psi) ends at 1 - 2**-52 here, so before the tables were closed
+    # the top uniform drew state 3 of 3 and the next block raised IndexError.
+    H = np.array([[0.45, 0.12, 0.43], [0.19, 0.71, 0.1], [0.08, 0.3, 0.62]])
+    spec = envmodel.EnvironmentSpec(states=("a", "b", "c"), H=H,
+                                    omega=np.array([0.4, 0.5, 0.6]), epsilon=0.1)
+    split = envmodel.minorization_split(spec, m=1)
+    assert np.cumsum(split.psi)[-1] < chains.TopUniforms.TOP
+    # start at state 0, regenerate (coin 0 < r) with the top uniform, then
+    # take the residual kernel with the top uniform
+    states, regens = branching.split_chain_with_regenerations(
+        spec, split, 2, chains.TopUniforms(0.0, 0.0))
+    assert states.tolist() == [0, 2, 2]
+    assert regens.tolist() == [0, 1]
+
+
 def test_split_bridge_conditional_law():
     spec = chains.chain_mk_k1()
     split = envmodel.minorization_split(spec, m=2)
@@ -282,11 +298,8 @@ def test_branching_vs_walk_single_site_trivial():
 def test_branching_vs_walk_mean_agreement():
     spec = chains.single_state(1 / 9)  # omega = 0.9
     import rwre.walksim as walksim
-    walk = np.empty(2000)
-    for i in range(2000):
-        env = walksim.sample_environment(spec, 8, 99, derive_rng(19, i, 0))
-        rec = walksim.run_to_hit(env, 100, derive_rng(19, i, 1))
-        walk[i] = rec.left_moves[max(1, rec.deepest_site) - rec.deepest_site:].sum()
+    walk = np.array([rec.left_moves[1 - rec.deepest_site:].sum()
+                     for rec in walksim.reference_walks(spec, 100, 2000, seed=19)])
     branch = branching.branch_population_sums(spec, 100, 2000, derive_rng(19, 1))
     se = np.sqrt(walk.var(ddof=1) / 2000 + branch.var(ddof=1) / 2000)
     assert abs(walk.mean() - branch.mean()) < 4 * se

@@ -71,6 +71,20 @@ def test_kappa_below_probe_grid(tmp_path, capsys):
     assert out.splitlines()[-1] == "OK"
 
 
+def test_kappa_and_speed_when_regeneration_margin_below_resolution(tmp_path, capsys):
+    # near-periodic 3-cycle, leakage 1e-6: the margin only warns
+    e = 1e-6
+    H = (1.0 - e) * np.roll(np.eye(3), 1, axis=1) + e / 3.0
+    rows = ", ".join("[" + ", ".join(repr(float(x)) for x in r) + "]" for r in H)
+    cycle = tmp_path / "cycle.toml"
+    cycle.write_text(f'states = ["a", "b", "c"]\nepsilon = "0.05"\nH = [{rows}]\n'
+                     'omega = ["0.75", "0.75", "0.40625"]\n')
+    for command in ("kappa", "speed"):
+        with pytest.warns(RuntimeWarning, match="coin too weak"):
+            assert run_cli(command, "--config", cycle) == 0
+        assert "kappa = 39.300476201" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as err:
         run_cli("kappa", "--config", K2, "--bogus")

@@ -279,6 +279,7 @@ def test_model_files_match_programmatic_fixtures():
         assert np.array_equal(spec.H, ref.H), name
         assert np.array_equal(spec.omega, ref.omega), name
         assert spec.epsilon == ref.epsilon, name
+        assert spec.states == ref.states, name
 
 
 def test_model_text_exact_values_and_fractions():
@@ -307,3 +308,24 @@ def test_model_text_errors():
         envmodel.spec_from_dict(envmodel.parse_model_text(
             'states = ["a"]\nepsilon = "abc"\nH = [["1"]]\nomega = ["0.5"]'
         ))
+    # values TOML reads but a model must not hold, and documents that are
+    # not TOML: a bare fraction, a missing comma
+    doc = 'states = ["a", "b"]\nepsilon = 0.1\nH = [[0.5, 0.5], [0.5, 0.5]]\nomega = [{}]\n'
+    for omega in ("nan, 0.5", "inf, 0.5", "true, 0.5", "2/3, 0.5", "0.4 0.5"):
+        with pytest.raises(ModelError):
+            envmodel.spec_from_dict(envmodel.parse_model_text(doc.format(omega)))
+    with pytest.raises(ModelError, match="finite"):
+        envmodel.spec_from_dict(envmodel.parse_model_text(
+            doc.format("0.4, 0.5").replace("[[0.5, 0.5]", "[[nan, 1]")))
+    with pytest.raises(ModelError, match="expected a number"):
+        envmodel.spec_from_dict(envmodel.parse_model_text(
+            doc.format("0.4, 0.5").replace("0.1", "true")))
+
+
+def test_non_finite_spec_rejected():
+    H = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ModelError, match="finite"):
+        EnvironmentSpec(states=("a", "b"), H=H, omega=np.array([np.nan, 0.5]), epsilon=0.1)
+    with pytest.raises(ModelError, match="finite"):
+        EnvironmentSpec(states=("a", "b"), H=np.array([[np.nan, 1.0], [0.5, 0.5]]),
+                        omega=np.array([0.4, 0.5]), epsilon=0.1)

@@ -238,11 +238,6 @@ def test_solve_kappa_matches_dense_oracle(spec):
         with pytest.raises(LightTailedError):
             spectral.solve_kappa(spec)
         return
-    # Leave out chains whose regeneration margin at kappa (state 0, coin 1/2)
-    # is below what double precision resolves: then the tilted residual
-    # radius lands on either side of one with the last bits of kappa.
-    theta = spec.H * np.where(np.arange(spec.n_states) == 0, 0.5, 1.0) * spec.rho**expected
-    assume(np.max(np.abs(np.linalg.eigvals(theta))) < 1.0 - 1e-9)
     rep = spectral.solve_kappa(spec)
     kappa = rep.kappa
     assert kappa == pytest.approx(expected, rel=1e-12)
@@ -250,6 +245,19 @@ def test_solve_kappa_matches_dense_oracle(spec):
         spectral.lyapunov_exponent(spec, 2 * kappa)
     assert rep.residual < 1e-10
     assert np.all(rep.f_kappa > 0)
+
+
+def test_kappa_reported_when_regeneration_margin_below_resolution():
+    # Near-periodic 3-cycle: the tilted residual radius at kappa rounds to
+    # 1 (40-digit arithmetic gives 1 - 2.2e-16); kappa itself is exact.
+    e = 1e-6
+    H = (1.0 - e) * np.roll(np.eye(3), 1, axis=1) + e / 3.0
+    spec = _spec(H, np.array([0.75, 0.75, 0.40625]))
+    with pytest.warns(RuntimeWarning, match="coin too weak"):
+        rep = spectral.solve_kappa(spec)
+    assert rep.kappa == pytest.approx(_oracle_kappa(spec), rel=1e-12)
+    assert rep.kappa == pytest.approx(39.30047620177031, rel=1e-12)
+    assert rep.theta_margin < 1e-6
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chains
-from rwre import spectral, tails
+from rwre import envmodel, spectral, tails
 from rwre._rng import derive_rng
 from rwre.errors import ModelError, NumericalError
 
@@ -118,6 +118,22 @@ def test_tail_curve_misspecified_index_trends_up():
 def test_tail_curve_needs_tail_mass():
     with pytest.raises(NumericalError):
         tails.tail_curve(np.arange(50, dtype=float), 1.0)
+
+
+def test_tilted_table_closed_at_top_uniform():
+    # Row 1 of the kappa = 1 tilted kernel sums to 1 - 2**-52 after its
+    # cumsum, so before the table was closed the top uniform moved to
+    # state 2 of 2 and the likelihood-ratio lookup raised IndexError.
+    spec = envmodel.EnvironmentSpec(states=("a", "b"),
+                                    H=np.array([[0.08, 0.92], [0.64, 0.36]]),
+                                    omega=np.array([0.78, 0.52]), epsilon=0.1)
+    tilted = spec.H * spec.rho
+    tilted /= tilted.sum(axis=1, keepdims=True)
+    assert np.cumsum(tilted, axis=1)[1, -1] < chains.TopUniforms.TOP
+    # start in state 1; 1 + rho[1] < 2 < 1 + rho[1] + rho[1]**2: one move, then a hit
+    est = tails.tilted_tail_sampler(spec, 1.0, np.ones(2), 2.0, 1, chains.TopUniforms())
+    assert est.successes == 1
+    assert est.probability == pytest.approx(spec.H[1, 1] / tilted[1, 1], rel=1e-15)
 
 
 def test_tilted_single_state_is_plain_monte_carlo():

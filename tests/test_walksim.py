@@ -171,10 +171,7 @@ def test_run_to_hit_degenerate_always_right():
                                     (chains.chain_mk_k2, 60),
                                     (chains.nonarith_sub1, 25)])
 def test_bookkeeping_identity_exact_on_every_record(make, n):
-    spec = make()
-    for i in range(120):
-        env = walksim.sample_environment(spec, 16, n - 1, derive_rng(33, i, 0))
-        rec = walksim.run_to_hit(env, n, derive_rng(33, i, 1))
+    for rec in walksim.reference_walks(make(), n, 120, seed=33):
         assert rec.identity_holds
         assert (rec.hitting_time - n) % 2 == 0
         tau = rec.crossing_times

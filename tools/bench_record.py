@@ -4,8 +4,9 @@ Runs ``perfbench/run.py --trace 0`` at its default length for every
 workload and seed in each given source tree, interleaving the trees seed
 by seed and swapping their order on every other seed so that drift of the
 host's speed hits them alike, and writes the medians of ``cpu_s``,
-``setup_s`` and ``peak_rss_mb`` per workload with each tree's commit to
-``BENCH_<pr>.json`` at the root of this repository:
+``setup_s`` and ``peak_rss_mb`` per workload with each tree's commit and
+``src/rwre/*.py`` line count to ``BENCH_<pr>.json`` at the root of this
+repository:
 
     python3 tools/bench_record.py --pr 7 --seeds 0 1 2 \\
         --tree parent=/path/to/parent/checkout --tree change=.
@@ -50,6 +51,11 @@ def commit_of(tree: Path) -> str:
     return git(tree, "rev-parse", "HEAD")
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the tree's ``src/rwre/*.py``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "rwre").glob("*.py"))
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
@@ -60,7 +66,8 @@ def main(argv=None) -> None:
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
     result = {"pr": args.pr, "trees": {
-        label: {"commit": commit_of(path), "workloads": {}} for label, path in trees.items()}}
+        label: {"commit": commit_of(path), "src_lines": src_lines(path), "workloads": {}}
+        for label, path in trees.items()}}
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label in trees}
         for k, seed in enumerate(args.seeds):
