@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out=True):
-        sp.add_argument("--config", required=True, help="model file (TOML-style)")
+        sp.add_argument("--config", required=True, help="model file (TOML)")
         sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are single-threaded")

@@ -474,9 +474,12 @@ def spec_from_dict(doc: dict) -> EnvironmentSpec:
     for key in ("states", "H", "omega", "epsilon"):
         if key not in doc:
             raise ModelError(f"model file is missing field {key!r}")
-    states = [str(s) for s in doc["states"]]
-    H = np.array([[_as_float(v) for v in row] for row in doc["H"]], dtype=float)
-    omega = np.array([_as_float(v) for v in doc["omega"]], dtype=float)
+    try:
+        states = [str(s) for s in doc["states"]]
+        H = np.array([[_as_float(v) for v in row] for row in doc["H"]], dtype=float)
+        omega = np.array([_as_float(v) for v in doc["omega"]], dtype=float)
+    except (TypeError, ValueError) as exc:  # also a scalar for an array, ragged rows
+        raise ModelError(f"malformed model field: {exc}") from exc
     epsilon = _as_float(doc["epsilon"])
     return EnvironmentSpec(states=tuple(states), H=H, omega=omega, epsilon=epsilon)
 

@@ -314,6 +314,13 @@ def test_model_text_errors():
     for omega in ("nan, 0.5", "inf, 0.5", "true, 0.5", "2/3, 0.5", "0.4 0.5"):
         with pytest.raises(ModelError):
             envmodel.spec_from_dict(envmodel.parse_model_text(doc.format(omega)))
+    # a scalar where an array belongs, and ragged rows
+    square = "H = [[0.5, 0.5], [0.5, 0.5]]"
+    for old, new in (("omega = [0.4, 0.5]", "omega = 0.5"), (square, "H = 1"),
+                     (square, "H = [[1], [0.5, 0.5]]")):
+        with pytest.raises(ModelError, match="malformed model field"):
+            envmodel.spec_from_dict(envmodel.parse_model_text(
+                doc.format("0.4, 0.5").replace(old, new)))
     with pytest.raises(ModelError, match="finite"):
         envmodel.spec_from_dict(envmodel.parse_model_text(
             doc.format("0.4, 0.5").replace("[[0.5, 0.5]", "[[nan, 1]")))
