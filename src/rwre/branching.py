@@ -40,6 +40,7 @@ __all__ = [
 
 GEOMETRIC_CUTOFF = 10_000
 POPULATION_LIMIT = 2**63 - 1
+_PATH_CHUNK = 1 << 16  # uniforms per draw of sample_chain_path
 
 
 def _offspring_sum(rng: np.random.Generator, count: int, om: float) -> int:
@@ -79,10 +80,19 @@ class BranchPath:
 def sample_chain_path(
     spec: EnvironmentSpec, length: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Stationary chain trajectory of the given length (states only)."""
-    s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
-    walk = chain_walk(spec.chain.fwd_rows, s, rng.random(length - 1).tolist())
-    return np.array([s, *walk], dtype=np.int64)
+    """Stationary chain trajectory of the given length (states only).
+
+    The moves take their uniforms ``_PATH_CHUNK`` at a time from ``rng``:
+    the same draws as one ``rng.random(length - 1)`` call, in bounded memory.
+    """
+    out = np.empty(length, dtype=np.int64)
+    s = out[0] = np.searchsorted(spec.chain.cum_pi, rng.random(), side="right")
+    for start in range(1, length, _PATH_CHUNK):
+        walk = chain_walk(spec.chain.fwd_rows, int(s),
+                          rng.random(min(_PATH_CHUNK, length - start)).tolist())
+        out[start:start + len(walk)] = walk
+        s = walk[-1]
+    return out
 
 
 def sample_branching(

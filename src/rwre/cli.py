@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_MODEL = 1
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
+_DUMP_CHUNK = 1 << 16  # samples formatted per write of `tails --dump`
 
 log = logging.getLogger("rwre")
 
@@ -63,6 +64,17 @@ def _write_csv(path, header, rows, conf_hash, seed):
             w.writerow(row)
         fh.write(f"# config_hash={conf_hash} seed={seed}\n")
     log.info("wrote %s (%d rows)", path, len(rows))
+
+
+def _write_samples(path, samples, conf_hash, seed):
+    """``_write_csv(path, ["value"], [(f"{v:.17g}",) ...])``, byte for byte,
+    written as formatted chunks instead of one ``writerow`` per sample."""
+    with open(path, "w", newline="") as fh:
+        fh.write("value\r\n")  # csv.writer's line terminator
+        for k in range(0, len(samples), _DUMP_CHUNK):
+            fh.write("".join(f"{v:.17g}\r\n" for v in samples[k:k + _DUMP_CHUNK].tolist()))
+        fh.write(f"# config_hash={conf_hash} seed={seed}\n")
+    log.info("wrote %s (%d rows)", path, len(samples))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,9 +263,7 @@ def _cmd_tails(args) -> int:
         _write_csv(args.out, ["threshold", "survival", "scaled_survival"], rows,
                    conf, args.seed)
         if args.dump:
-            dump_path = args.out + ".samples.csv"
-            _write_csv(dump_path, ["value"], [(f"{v:.17g}",) for v in samples],
-                       conf, args.seed)
+            _write_samples(args.out + ".samples.csv", samples, conf, args.seed)
     return EXIT_OK
 
 

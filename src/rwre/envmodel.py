@@ -172,10 +172,12 @@ class ChainTable:
 
 def chain_move(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One chain move per lane: how many entries of row ``states[i]`` of
-    ``cum`` lie below ``u[i]``, summed one cumulative column at a time."""
+    ``cum`` lie at or below ``u[i]`` (``searchsorted(side="right")``
+    semantics, so a zero-probability state is never entered), summed one
+    cumulative column at a time."""
     out = np.zeros(states.shape[0], dtype=np.int64)
     for k in range(cum.shape[1]):
-        out += u > cum[:, k][states]
+        out += u >= cum[:, k][states]
     return out
 
 

@@ -14,6 +14,11 @@ Two engines produce hitting-time samples:
 Environment windows are two-sided and extend themselves on demand when
 they were generated from a model; fixed windows raise instead.
 
+``reference_walks`` runs the reference path in lockstep over batches of
+lanes, each lane on its own streams, and hands the last few live lanes of
+a batch to the scalar loop of ``run_to_hit``; every record equals the one
+``run_to_hit`` gives that lane alone.
+
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, grown in place, edges tested on a countdown.
 """
@@ -43,6 +48,10 @@ __all__ = [
 DEFAULT_STEP_CAP = 10**9
 _EXTEND_CHUNK = 64
 _EXPLOSION_LIMIT = 2**60
+_BATCH_BYTES = 8 << 20  # memory budget of one lockstep batch of reference walks
+_FINISH_LANES = 48  # a batch with at most this many live lanes finishes them one by one
+_WALK_CHUNK = 256  # walk uniforms drawn per lockstep lane at a time
+_SCALAR_CHUNK = 8192  # walk uniforms drawn at a time by the scalar loop
 
 
 @dataclass
@@ -164,72 +173,99 @@ class WalkRecord:
         return self.hitting_time == self.n_target + 2 * self.total_left_moves
 
 
-def run_to_hit(
-    env: EnvPath,
-    n: int,
-    rng: np.random.Generator,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> WalkRecord:
-    """Reference quenched walk from the origin to the first visit of ``n``.
+@dataclass
+class _WalkState:
+    """A reference walk paused after ``t`` steps at site ``pos``.
 
-    One uniform per step, no shortcuts.  The environment window is extended
-    on demand for model-generated environments; a fixed window raises a
-    ``WindowError`` carrying the deepest site reached.
+    ``best`` and ``deepest`` are the highest and lowest sites reached,
+    ``U[i + env.left]`` the left moves made from site ``i`` and ``hit`` the
+    hit times so far; the walk's stream stands at its ``t + 1``-th uniform.
     """
+
+    pos: int
+    t: int
+    best: int
+    deepest: int
+    U: np.ndarray
+    hit: np.ndarray
+
+
+def _cover(env: EnvPath, n: int) -> None:
+    """Check the target site ``n`` and extend ``env`` up to site ``n - 1``."""
     if n < 1:
         raise ModelError(f"target site must be >= 1, got {n}")
     while env.right < n - 1:
         env.extend_right(max(_EXTEND_CHUNK, n - 1 - env.right))
 
-    omega = env.omega
+
+def _extend_below(env: EnvPath, pos: int) -> None:
+    """Grow ``env`` by one chunk under a walk that left it at site ``pos``."""
+    if not env.extendable:
+        raise WindowError(f"window too small: walk reached site {pos}", pos)
+    env.extend_left()
+
+
+def run_to_hit(
+    env: EnvPath,
+    n: int,
+    rng: np.random.Generator,
+    step_cap: int = DEFAULT_STEP_CAP,
+    resume: _WalkState | None = None,
+) -> WalkRecord:
+    """Reference quenched walk from the origin to the first visit of ``n``.
+
+    One uniform per step, no shortcuts.  The environment window is extended
+    on demand for model-generated environments; a fixed window raises a
+    ``WindowError`` carrying the deepest site reached.  ``resume`` continues
+    a walk paused in that state on the same ``env`` and ``rng``.
+    """
+    _cover(env, n)
+    if resume is None:
+        resume = _WalkState(0, 0, 0, 0, np.zeros(env.left + n + 1, dtype=np.int64),
+                            np.zeros(n, dtype=np.int64))
+    # Python lists: indexing them is several times cheaper than numpy's
+    omega = env.omega.tolist()
     left = env.left
-    U = np.zeros(left + n + 1, dtype=np.int64)  # site i at index i + left
-    hit = np.zeros(n, dtype=np.int64)
-    pos = 0
-    t = 0
-    best = 0
-    deepest = 0
-    buf = rng.random(8192)
-    bi = 0
+    U = resume.U.tolist()  # site i at index i + left
+    hit = resume.hit.tolist()
+    pos, t, best, deepest = resume.pos, resume.t, resume.best, resume.deepest
+    chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: short walks draw few
     while pos < n:
         if t >= step_cap:
             return WalkRecord(
                 n_target=n,
-                hit_times=hit[:best],
-                left_moves=U[deepest + left:],
+                hit_times=np.array(hit[:best], dtype=np.int64),
+                left_moves=np.array(U[deepest + left:], dtype=np.int64),
                 deepest_site=deepest,
                 final_position=pos,
                 steps=t,
                 censored=True,
             )
-        if pos + left < 0:
-            if not env.extendable:
-                raise WindowError(f"window too small: walk reached site {pos}", pos)
-            env.extend_left()
-            grow = env.left - left
-            omega = env.omega
-            U = np.concatenate([np.zeros(grow, dtype=np.int64), U])
-            left = env.left
-        if bi == len(buf):
-            buf = rng.random(8192)
-            bi = 0
-        t += 1
-        if buf[bi] < omega[pos + left]:
-            bi += 1
-            pos += 1
-            if pos > best:
-                hit[pos - 1] = t
-                best = pos
-        else:
-            bi += 1
-            U[pos + left] += 1
-            pos -= 1
-            if pos < deepest:
-                deepest = pos
+        draws = rng.random(min(chunk, step_cap - t)).tolist()
+        chunk = min(2 * chunk, _SCALAR_CHUNK)
+        for u in draws:
+            t += 1
+            if u < omega[pos + left]:
+                pos += 1
+                if pos > best:
+                    hit[pos - 1] = t
+                    best = pos
+                    if pos == n:
+                        break
+            else:
+                U[pos + left] += 1
+                pos -= 1
+                if pos < deepest:
+                    deepest = pos
+                    if pos + left < 0:  # extend before the next step or the cap test
+                        _extend_below(env, pos)
+                        U = [0] * (env.left - left) + U
+                        omega = env.omega.tolist()
+                        left = env.left
     return WalkRecord(
         n_target=n,
-        hit_times=hit,
-        left_moves=U[deepest + left:],
+        hit_times=np.array(hit, dtype=np.int64),
+        left_moves=np.array(U[deepest + left:], dtype=np.int64),
         deepest_site=deepest,
         final_position=pos,
         steps=t,
@@ -262,10 +298,162 @@ def reference_walks(
 
     Replica ``idx`` samples its window over ``[-_EXTEND_CHUNK, n - 1]`` from
     ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``.
+    Replicas run in lockstep batches of as many lanes as ``_BATCH_BYTES``
+    holds; the records are those of ``run_to_hit`` on each replica alone.
     """
-    for idx in range(replicas):
-        env = sample_environment(spec, _EXTEND_CHUNK, n - 1, derive_rng(seed, idx, 0))
-        yield run_to_hit(env, n, derive_rng(seed, idx, 1), step_cap=step_cap)
+    width = _batch_width(n)
+    for start in range(0, replicas, width):
+        ids = range(start, min(start + width, replicas))
+        envs = _sample_windows(spec, _EXTEND_CHUNK, n - 1, [derive_rng(seed, i, 0) for i in ids])
+        yield from _Lockstep(envs, n, [derive_rng(seed, i, 1) for i in ids], step_cap).run()
+
+
+def _batch_width(n: int) -> int:
+    """Lanes per batch: a lane holds about eight int64 or float64 arrays
+    over its window (uniforms, states, omega, left moves, hit times, its
+    record), plus its walk uniforms."""
+    return max(1, _BATCH_BYTES // (64 * (n + _EXTEND_CHUNK) + 8 * _WALK_CHUNK))
+
+
+def _sample_windows(spec, left, right, rngs) -> list[EnvPath]:
+    """``sample_environment(spec, left, right, rng)`` for every stream in
+    ``rngs``: each lane's uniforms come from one call on its stream, and the
+    chain moves of every lane are made at once, one ``chain_move`` per site."""
+    if left < 0 or right < 0:
+        raise ModelError("window bounds must be nonnegative")
+    table = spec.chain
+    u = np.empty((len(rngs), left + right + 1))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    states = np.empty(u.shape, dtype=np.int64)
+    s = states[:, left] = np.searchsorted(table.cum_pi, u[:, 0], side="right")
+    for k in range(1, left + 1):
+        s = states[:, left - k] = chain_move(table.cum_fwd, s, u[:, k])
+    s = states[:, left]
+    for k in range(left + 1, left + right + 1):
+        s = states[:, k] = chain_move(table.cum_rev, s, u[:, k])
+    omega = spec.omega[states]
+    return [EnvPath(left, right, w, st, spec, rng) for w, st, rng in zip(omega, states, rngs)]
+
+
+class _Lockstep:
+    """``run_to_hit(envs[i], n, rngs[i], step_cap)`` for every lane ``i``,
+    the lanes stepped together while more than ``_FINISH_LANES`` are live.
+
+    Row ``i`` of ``omega``, ``U`` (left moves) and ``hit`` (first hit times)
+    holds lane ``i``, column ``c`` site ``c - z``; a lane at column ``c``
+    reads flat index ``i * width + c``.  Lane ``i``'s window starts at column
+    ``lo[i]``; columns below it are head-room for left extensions, added for
+    every lane at once when one runs short.  Sites ``n`` and ``n + 1`` are a
+    sink (right, then back left), so a lane that hits ``n`` stays there,
+    clear of its record, until the next boundary retires it.
+    """
+
+    def __init__(self, envs, n, rngs, step_cap):
+        for env in envs:
+            _cover(env, n)
+        self.envs, self.n, self.rngs, self.step_cap = envs, n, rngs, step_cap
+        self.z = max(env.left for env in envs)
+        self.lo = np.array([self.z - env.left for env in envs], dtype=np.int64)
+        shape = (len(envs), self.z + n + 2)
+        self.omega = np.empty(shape)
+        for row, lo, env in zip(self.omega, self.lo, envs):
+            row[lo:self.z + n] = env.omega[:env.left + n]
+        self.omega[:, self.z + n:] = (1.0, 0.0)
+        self.U = np.zeros(shape, dtype=np.int64)
+        self.hit = np.zeros(shape, dtype=np.int64)
+
+    def _extend(self, lane, idx, best, below) -> None:
+        """Extend the windows of lanes ``lane[below]``, each one site below
+        its window, first adding head-room for every lane if one runs short;
+        ``idx`` and ``best`` follow the buffers in place."""
+        width = self.omega.shape[1]
+        if self.lo[lane[below]].min() < _EXTEND_CHUNK:
+            def pad(a):
+                return np.concatenate([np.zeros((a.shape[0], width), a.dtype), a], axis=1)
+            self.omega, self.U, self.hit = pad(self.omega), pad(self.U), pad(self.hit)
+            self.z += width
+            self.lo += width
+            idx += (lane + 1) * width  # flat i * 2 * width + c + width
+            best += (lane + 1) * width
+            width *= 2
+        for k in below:
+            i = lane[k]
+            _extend_below(self.envs[i], int(idx[k] - i * width - self.z))
+            self.lo[i] -= _EXTEND_CHUNK
+            self.omega[i, self.lo[i]:self.lo[i] + _EXTEND_CHUNK] = \
+                self.envs[i].omega[:_EXTEND_CHUNK]
+
+    def _deepest(self, i: int) -> int:
+        # a left move from site s reached s - 1: the lowest such s gives the deepest site
+        moved = np.flatnonzero(self.U[i, self.lo[i]:self.z + 1])
+        return min(0, int(self.lo[i] + moved[0]) - self.z - 1) if moved.size else 0
+
+    def _record(self, i, pos, best, steps, censored) -> WalkRecord:
+        z, deepest = self.z, self._deepest(i)
+        return WalkRecord(
+            n_target=self.n,
+            hit_times=self.hit[i, z + 1:z + 1 + best].copy(),
+            left_moves=self.U[i, z + deepest:z + self.n + 1].copy(),
+            deepest_site=deepest,
+            final_position=pos,
+            steps=steps,
+            censored=censored,
+        )
+
+    def run(self) -> list[WalkRecord]:
+        n, cap, chunk = self.n, self.step_cap, _WALK_CHUNK
+        records = [None] * len(self.envs)
+        lane = np.arange(len(self.envs))  # live lanes
+        idx = lane * self.omega.shape[1] + self.z  # flat position of each live lane
+        best = idx.copy()  # flat index of its highest site
+        t = 0
+        while True:
+            # Chunk boundary: retire lanes that hit n, censor at the cap, hand
+            # a handful of live lanes to the scalar loop.
+            width, z = self.omega.shape[1], self.z
+            pos, top = idx - lane * width - z, best - lane * width - z
+            done = top >= n
+            for k in np.flatnonzero(done):
+                i = lane[k]
+                records[i] = self._record(i, n, n, int(self.hit[i, z + n]), False)
+            if t >= cap:
+                for k in np.flatnonzero(~done):
+                    records[lane[k]] = self._record(lane[k], int(pos[k]), int(top[k]), t, True)
+                return records
+            lane, idx, best, pos, top = (a[~done] for a in (lane, idx, best, pos, top))
+            if lane.size <= _FINISH_LANES:
+                for k, i in enumerate(lane):
+                    state = _WalkState(int(pos[k]), t, int(top[k]), self._deepest(i),
+                                       self.U[i, self.lo[i]:z + n + 1].copy(),
+                                       self.hit[i, z + 1:z + n + 1].copy())
+                    records[i] = run_to_hit(self.envs[i], n, self.rngs[i], cap, state)
+                return records
+            W = np.empty((lane.size, chunk))
+            for row, i in zip(W, lane):
+                self.rngs[i].random(out=row)
+            om, U, hit = self.omega.ravel(), self.U.ravel(), self.hit.ravel()
+            lo = lane * width + self.lo[lane]  # flat index of each lane's lowest site
+            j, stop = 0, min(chunk, cap - t)
+            while j < stop:
+                # no lane leaves its window in fewer steps than this
+                for _ in range(min(stop - j, int((idx - lo).min()) + 1)):
+                    right = W[:, j] < om.take(idx)
+                    left = ~right
+                    U[idx[left]] += 1
+                    idx += right
+                    idx -= left
+                    j += 1
+                    new = idx > best
+                    best += new
+                    hit[idx[new]] = t + j
+                # extend before the next step or the cap test, as run_to_hit does
+                below = np.flatnonzero(idx < lo)
+                if below.size:
+                    self._extend(lane, idx, best, below)
+                    om, U, hit = self.omega.ravel(), self.U.ravel(), self.hit.ravel()
+                    lo = lane * self.omega.shape[1] + self.lo[lane]
+            t += stop
 
 
 def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:

@@ -50,6 +50,19 @@ def test_chain_regenerations_full_coin_single_state():
     assert list(N) == list(range(10))
 
 
+def test_chain_path_chunks_match_single_call():
+    # one uniform past a chunk boundary, against one rng.random(length - 1) call
+    spec = chains.chain_mk_k2()
+    length = branching._PATH_CHUNK + 2
+    got = branching.sample_chain_path(spec, length, derive_rng(6, 0))
+    rng = derive_rng(6, 0)
+    s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
+    walk = envmodel.chain_walk(spec.chain.fwd_rows, s, rng.random(length - 1).tolist())
+    assert got.dtype == np.int64
+    assert got.tolist() == [s, *walk]
+    assert branching.sample_chain_path(spec, 1, derive_rng(6, 0)).tolist() == [s]
+
+
 def test_chain_regeneration_gap_renewal_oracle():
     spec = chains.chain_mk_k2()
     rng = derive_rng(5, 0)

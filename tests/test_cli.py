@@ -166,6 +166,21 @@ def test_tails_report_and_dump(tmp_path, capsys):
     assert lines[0] == "threshold,survival,scaled_survival"
     dump = Path(str(out) + ".samples.csv").read_text().splitlines()
     assert dump[0] == "value" and len(dump) == 20_002
+    # the same bytes as csv.writer rows of the same samples (%.17g round-trips)
+    samples = [float(v) for v in dump[1:-1]]
+    rendered = tmp_path / "rendered.csv"
+    cli._write_csv(rendered, ["value"], [(f"{v:.17g}",) for v in samples],
+                   dump[-1].split("=")[1].split()[0], 4)
+    assert Path(str(out) + ".samples.csv").read_bytes() == rendered.read_bytes()
+
+
+def test_samples_writer_matches_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_DUMP_CHUNK", 3)  # chunks end mid-array
+    values = np.array([0.1, -2.5e-300, 5e-324, 1e300, np.inf, 3.0, 1 / 3, 2.0**60])
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    cli._write_csv(want, ["value"], [(f"{v:.17g}",) for v in values], "abc", 9)
+    cli._write_samples(got, values, "abc", 9)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_limit_check_summary_rows(tmp_path, capsys):

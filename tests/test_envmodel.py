@@ -133,7 +133,7 @@ def test_reverse_kernel_involution_and_invariance():
 
 
 def _broadcast_move(cum, states, u):
-    return (u[:, None] > cum[states]).sum(axis=1)
+    return (u[:, None] >= cum[states]).sum(axis=1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,6 +151,18 @@ def test_chain_move_matches_broadcast_oracle(k, weights, states, u):
         got = envmodel.chain_move(cum, s, uu)
         assert got.dtype == np.int64
         assert np.array_equal(got, _broadcast_move(cum, s, uu))
+
+
+def test_chain_move_ties_match_chain_walk():
+    # u equal to a cumulative entry moves past it, as bisect_right does, so
+    # u = 0.0 never enters a state of probability zero
+    cum = envmodel.closed_cumsum(np.array([[0.0, 0.3, 0.7], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+    s = np.array([0, 1, 1, 2, 0])
+    u = np.array([0.0, 0.5, 0.0, 0.2, 0.3])
+    got = envmodel.chain_move(cum, s, u)
+    assert got.tolist() == [1, 1, 0, 1, 2]
+    walked = [envmodel.chain_walk(cum.tolist(), int(a), [float(b)])[0] for a, b in zip(s, u)]
+    assert got.tolist() == walked
 
 
 @settings(max_examples=150, deadline=None)

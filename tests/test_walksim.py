@@ -242,3 +242,90 @@ def test_position_sampler_deterministic_and_bounded():
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 500)
     assert np.all((a + 500) % 2 == 0)  # parity of a +/-1 step walk
+
+
+def _alone(spec, n, replicas, seed, step_cap=walksim.DEFAULT_STEP_CAP):
+    """Replica i's walk run on its own: the definition reference_walks keeps."""
+    return [walksim.run_to_hit(walksim.sample_environment(spec, 64, n - 1, derive_rng(seed, i, 0)),
+                               n, derive_rng(seed, i, 1), step_cap)
+            for i in range(replicas)]
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("n_target", "deepest_site", "final_position", "steps", "censored"):
+            assert getattr(a, field) == getattr(b, field), field
+        for field in ("hit_times", "left_moves"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
+@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
+@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
+    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -12, 0),
+    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -65, 0),  # one left extension
+    ("chain_mk_k1", 120, 70, 400, -24, 70),  # every walk censored
+    ("deep", 5, 40, 3000, -493, 29),  # extensions and censoring hundreds of sites down
+])
+def test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
+                                           deepest, censored):
+    # floor 0 is pure lockstep, 10**6 pure scalar; the default mixes both
+    monkeypatch.setattr(walksim, "_FINISH_LANES", floor)
+    spec = DEEP if name == "deep" else getattr(chains, name)()
+    got = list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=step_cap))
+    _assert_same_records(got, _alone(spec, n, replicas, seed=33, step_cap=step_cap))
+    assert min(r.deepest_site for r in got) == deepest
+    assert sum(r.censored for r in got) == censored
+    assert all(r.steps == step_cap for r in got if r.censored)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_reference_walks_batching_does_not_move_draws(monkeypatch, offset):
+    n = 40
+    monkeypatch.setattr(walksim, "_BATCH_BYTES", 30 * (64 * (n + 64) + 8 * walksim._WALK_CHUNK))
+    monkeypatch.setattr(walksim, "_FINISH_LANES", 4)
+    width = walksim._batch_width(n)
+    assert width == 30
+    for replicas in (1, width + offset, 3 * width + offset):
+        got = list(walksim.reference_walks(chains.chain_mk_k2(), n, replicas, seed=8))
+        _assert_same_records(got, _alone(chains.chain_mk_k2(), n, replicas, seed=8))
+
+
+def test_batched_windows_match_sample_environment():
+    spec = S4
+    envs = walksim._sample_windows(spec, 16, 99, [derive_rng(3, i, 0) for i in range(8)])
+    for i, env in enumerate(envs):
+        rng = derive_rng(3, i, 0)
+        alone = walksim.sample_environment(spec, 16, 99, rng)
+        assert (env.left, env.right) == (16, 99)
+        assert np.array_equal(env.states, alone.states)
+        assert np.array_equal(env.omega, alone.omega)
+        assert env.rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("lanes", [1, 5])
+def test_lockstep_fixed_window_raises_like_scalar(monkeypatch, lanes):
+    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
+
+    def fixed():
+        return walksim.EnvPath(left=2, right=9, omega=np.full(12, 0.1))
+
+    with pytest.raises(WindowError) as alone:
+        walksim.run_to_hit(fixed(), 10, derive_rng(2, 0))
+    with pytest.raises(WindowError) as batch:
+        walksim._Lockstep([fixed() for _ in range(lanes)], 10,
+                          [derive_rng(2, i) for i in range(lanes)],
+                          walksim.DEFAULT_STEP_CAP).run()
+    assert batch.value.deepest_site == alone.value.deepest_site == -3
+    assert str(batch.value) == str(alone.value)
+
+
+def test_censoring_just_below_window_keeps_left_moves():
+    # the first step leaves the one-site window; the cap stops the walk there
+    spec = chains.single_state(9.0)
+    env = walksim.sample_environment(spec, 0, 9, derive_rng(4, 0))
+    rec = walksim.run_to_hit(env, 10, derive_rng(4, 1), step_cap=1)
+    assert rec.censored and rec.final_position == rec.deepest_site == -1
+    assert rec.left_moves.tolist() == [0, 1] + [0] * 10
+    assert env.left == 64
