@@ -229,7 +229,6 @@ def run_to_hit(
     U = resume.U.tolist()  # site i at index i + left
     hit = resume.hit.tolist()
     pos, t, best, deepest = resume.pos, resume.t, resume.best, resume.deepest
-    chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: short walks draw few
     while pos < n:
         if t >= step_cap:
             return WalkRecord(
@@ -241,8 +240,7 @@ def run_to_hit(
                 steps=t,
                 censored=True,
             )
-        draws = rng.random(min(chunk, step_cap - t)).tolist()
-        chunk = min(2 * chunk, _SCALAR_CHUNK)
+        draws = rng.random(min(_SCALAR_CHUNK, step_cap - t)).tolist()
         for u in draws:
             t += 1
             if u < omega[pos + left]:
@@ -300,10 +298,17 @@ def reference_walks(
     ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``.
     Replicas run in lockstep batches of as many lanes as ``_BATCH_BYTES``
     holds; the records are those of ``run_to_hit`` on each replica alone.
+    A batch of at most ``_FINISH_LANES`` lanes (at large ``n`` every batch)
+    is walked one replica at a time by ``run_to_hit``.
     """
     width = _batch_width(n)
     for start in range(0, replicas, width):
         ids = range(start, min(start + width, replicas))
+        if len(ids) <= _FINISH_LANES:
+            for i in ids:
+                env = sample_environment(spec, _EXTEND_CHUNK, n - 1, derive_rng(seed, i, 0))
+                yield run_to_hit(env, n, derive_rng(seed, i, 1), step_cap)
+            continue
         envs = _sample_windows(spec, _EXTEND_CHUNK, n - 1, [derive_rng(seed, i, 0) for i in ids])
         yield from _Lockstep(envs, n, [derive_rng(seed, i, 1) for i in ids], step_cap).run()
 
@@ -338,7 +343,8 @@ def _sample_windows(spec, left, right, rngs) -> list[EnvPath]:
 
 class _Lockstep:
     """``run_to_hit(envs[i], n, rngs[i], step_cap)`` for every lane ``i``,
-    the lanes stepped together while more than ``_FINISH_LANES`` are live.
+    the lanes stepped together while more than ``_FINISH_LANES`` are live
+    and the buffers fit ``_BATCH_BYTES``.
 
     Row ``i`` of ``omega``, ``U`` (left moves) and ``hit`` (first hit times)
     holds lane ``i``, column ``c`` site ``c - z``; a lane at column ``c``
@@ -401,7 +407,21 @@ class _Lockstep:
             censored=censored,
         )
 
-    def run(self) -> list[WalkRecord]:
+    def run(self) -> Iterator[WalkRecord]:
+        """The lanes' records in lane order.  Lanes still live when the
+        lockstep phase ends are finished by ``run_to_hit`` as their turn
+        comes, and each lane's window is dropped once its record is out."""
+        n, cap = self.n, self.step_cap
+        records, paused = self._lockstep()
+        for i, rec in enumerate(records):
+            env, self.envs[i] = self.envs[i], None
+            yield rec if rec is not None else run_to_hit(env, n, self.rngs[i], cap, paused.pop(i))
+
+    def _lockstep(self) -> tuple[list, dict[int, _WalkState]]:
+        """Step the lanes together until at most ``_FINISH_LANES`` are live,
+        the head-room has outgrown ``_BATCH_BYTES`` or the cap is reached.
+        Returns the records of the lanes that ended, ``None`` for the rest,
+        and each live lane's paused state; the batch buffers are released."""
         n, cap, chunk = self.n, self.step_cap, _WALK_CHUNK
         records = [None] * len(self.envs)
         lane = np.arange(len(self.envs))  # live lanes
@@ -410,25 +430,26 @@ class _Lockstep:
         t = 0
         while True:
             # Chunk boundary: retire lanes that hit n, censor at the cap, hand
-            # a handful of live lanes to the scalar loop.
+            # a handful of live lanes, or all once the head-room has outgrown
+            # the budget, to the scalar loop.
             width, z = self.omega.shape[1], self.z
             pos, top = idx - lane * width - z, best - lane * width - z
             done = top >= n
             for k in np.flatnonzero(done):
                 i = lane[k]
                 records[i] = self._record(i, n, n, int(self.hit[i, z + n]), False)
-            if t >= cap:
+            if t >= cap:  # censor every live lane
                 for k in np.flatnonzero(~done):
                     records[lane[k]] = self._record(lane[k], int(pos[k]), int(top[k]), t, True)
-                return records
+                done[:] = True
             lane, idx, best, pos, top = (a[~done] for a in (lane, idx, best, pos, top))
-            if lane.size <= _FINISH_LANES:
-                for k, i in enumerate(lane):
-                    state = _WalkState(int(pos[k]), t, int(top[k]), self._deepest(i),
-                                       self.U[i, self.lo[i]:z + n + 1].copy(),
-                                       self.hit[i, z + 1:z + n + 1].copy())
-                    records[i] = run_to_hit(self.envs[i], n, self.rngs[i], cap, state)
-                return records
+            if lane.size <= _FINISH_LANES or 3 * self.omega.nbytes > _BATCH_BYTES:
+                paused = {int(i): _WalkState(int(pos[k]), t, int(top[k]), self._deepest(i),
+                                             self.U[i, self.lo[i]:z + n + 1].copy(),
+                                             self.hit[i, z + 1:z + n + 1].copy())
+                          for k, i in enumerate(lane)}
+                self.omega = self.U = self.hit = None
+                return records, paused
             W = np.empty((lane.size, chunk))
             for row, i in zip(W, lane):
                 self.rngs[i].random(out=row)

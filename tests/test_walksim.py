@@ -292,6 +292,26 @@ def test_reference_walks_batching_does_not_move_draws(monkeypatch, offset):
         _assert_same_records(got, _alone(chains.chain_mk_k2(), n, replicas, seed=8))
 
 
+def test_lockstep_hands_lanes_to_scalar_loop_past_memory_budget(monkeypatch):
+    # floor 0: only the budget ends the lockstep phase before the cap; DEEP
+    # walks drift left, so their head-room outgrows a 20-lane budget
+    n, replicas, cap = 5, 40, 3000
+    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
+    monkeypatch.setattr(walksim, "_BATCH_BYTES", 20 * (64 * (n + 64) + 8 * walksim._WALK_CHUNK))
+    paused_at = []
+    scalar = walksim.run_to_hit
+
+    def spy(env, n, rng, step_cap, resume):
+        paused_at.append(resume.t)
+        return scalar(env, n, rng, step_cap, resume)
+
+    monkeypatch.setattr(walksim, "run_to_hit", spy)
+    got = list(walksim.reference_walks(DEEP, n, replicas, seed=33, step_cap=cap))
+    monkeypatch.setattr(walksim, "run_to_hit", scalar)
+    _assert_same_records(got, _alone(DEEP, n, replicas, seed=33, step_cap=cap))
+    assert paused_at and max(paused_at) < cap
+
+
 def test_batched_windows_match_sample_environment():
     spec = S4
     envs = walksim._sample_windows(spec, 16, 99, [derive_rng(3, i, 0) for i in range(8)])
@@ -314,9 +334,9 @@ def test_lockstep_fixed_window_raises_like_scalar(monkeypatch, lanes):
     with pytest.raises(WindowError) as alone:
         walksim.run_to_hit(fixed(), 10, derive_rng(2, 0))
     with pytest.raises(WindowError) as batch:
-        walksim._Lockstep([fixed() for _ in range(lanes)], 10,
-                          [derive_rng(2, i) for i in range(lanes)],
-                          walksim.DEFAULT_STEP_CAP).run()
+        list(walksim._Lockstep([fixed() for _ in range(lanes)], 10,
+                               [derive_rng(2, i) for i in range(lanes)],
+                               walksim.DEFAULT_STEP_CAP).run())
     assert batch.value.deepest_site == alone.value.deepest_site == -3
     assert str(batch.value) == str(alone.value)
 

@@ -11,9 +11,6 @@ repository:
     python3 tools/bench_record.py --pr 7 --seeds 0 1 2 \\
         --tree parent=/path/to/parent/checkout --tree change=.
 
-``--workload-seeds walk-branching=0-9`` runs that workload on its own
-seeds (here ten parent/change pairs) instead of ``--seeds``.
-
 Each tree must be a git checkout with no uncommitted changes to tracked
 files, so that the recorded commit is the code that ran (perfbench imports
 rwre from the tree's ``src/``).  Every run's own metrics, verdict and
@@ -59,25 +56,13 @@ def src_lines(tree: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "rwre").glob("*.py"))
 
 
-def workload_seeds(text: str) -> tuple[str, list[int]]:
-    """``NAME=FIRST-LAST``: the workload and its inclusive seed range."""
-    name, _, span = text.partition("=")
-    first, _, last = span.partition("-")
-    if name not in WORKLOADS or not first.isdigit() or not (last or first).isdigit():
-        raise argparse.ArgumentTypeError(f"expected WORKLOAD=FIRST-LAST, got {text!r}")
-    return name, list(range(int(first), int(last or first) + 1))
-
-
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    p.add_argument("--workload-seeds", action="append", default=[],
-                   metavar="WORKLOAD=FIRST-LAST", type=workload_seeds)
     args = p.parse_args(argv)
-    seeds = {w: args.seeds for w in WORKLOADS} | dict(args.workload_seeds)
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
     result = {"pr": args.pr, "trees": {
@@ -85,7 +70,7 @@ def main(argv=None) -> None:
         for label, path in trees.items()}}
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label in trees}
-        for k, seed in enumerate(seeds[workload]):
+        for k, seed in enumerate(args.seeds):
             order = list(trees.items())
             for label, path in order[::-1] if k % 2 else order:
                 runs[label].append(run_once(path, workload, seed))
