@@ -229,6 +229,7 @@ def run_to_hit(
     U = resume.U.tolist()  # site i at index i + left
     hit = resume.hit.tolist()
     pos, t, best, deepest = resume.pos, resume.t, resume.best, resume.deepest
+    chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: a lane near its end draws few
     while pos < n:
         if t >= step_cap:
             return WalkRecord(
@@ -240,7 +241,8 @@ def run_to_hit(
                 steps=t,
                 censored=True,
             )
-        draws = rng.random(min(_SCALAR_CHUNK, step_cap - t)).tolist()
+        draws = rng.random(min(chunk, step_cap - t)).tolist()
+        chunk = min(2 * chunk, _SCALAR_CHUNK)
         for u in draws:
             t += 1
             if u < omega[pos + left]:
