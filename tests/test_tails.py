@@ -19,6 +19,17 @@ def test_perpetuity_golden_draws():
     assert _sha(r) == "5ac8f771669cb4f3"
 
 
+def test_perpetuity_golden_across_chunks(monkeypatch):
+    # 96-lane chunks: lanes retire over many terms in each of six chunks,
+    # and the stream goes on where the last chunk left it.
+    monkeypatch.setattr(tails, "_CHUNK", 96)
+    rng = derive_rng(8, 0)
+    r = tails.sample_perpetuity(chains.chain_mk_k2(), 500, rng)
+    assert (r.min(), r.max()) == (1.9999999999990905, 192.5001094341272)
+    assert _sha(r) == "1bc0863f5c10e738"
+    assert rng.random() == 0.4093643271792127
+
+
 def test_tilted_sampler_golden_weights():
     # the estimate's mean, standard error and ESS move with any weight
     spec = chains.chain_mk_k2()

@@ -101,6 +101,30 @@ def test_position_sample_golden_deep_left():
     assert _sha(x) == "08cd2f76d6d2fe6f"
 
 
+def test_position_sample_zero_steps():
+    x = walksim.annealed_position_sample(chains.nonarith_k2(), 0, 30, seed=2)
+    assert x.dtype == np.int64 and x.tolist() == [0] * 30
+
+
+def test_position_sample_golden_short_of_first_countdown():
+    # 37 steps end before the first countdown of 64 runs out
+    x = walksim.annealed_position_sample(chains.nonarith_k2(), 37, 70, seed=9, batch=32)
+    assert (x.min(), x.max()) == (15, 33)
+    assert _sha(x) == "0de7e72209f6edc0"
+
+
+@pytest.mark.parametrize("spec, n_steps, replicas, seed, batch, lo_hi, digest", [
+    (chains.chain_mk_k2(), 777, 90, 11, 512, (41, 249), "44afbee90de9e6a9"),
+    (DEEP, 1001, 45, 4, 20, (-215, -23), "12a426d4c57fca75"),
+])
+def test_position_sample_golden_off_window_multiple(spec, n_steps, replicas, seed, batch,
+                                                    lo_hi, digest):
+    # step counts that are no multiple of the 64-site window extension
+    x = walksim.annealed_position_sample(spec, n_steps, replicas, seed=seed, batch=batch)
+    assert (x.min(), x.max()) == lo_hi
+    assert _sha(x) == digest
+
+
 def test_blocks_sample_golden():
     h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
     assert _sha(h.values) == "57614ffa1aaf7a02"
