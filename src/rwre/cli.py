@@ -72,7 +72,8 @@ def _write_samples(path, samples, conf_hash, seed):
     with open(path, "w", newline="") as fh:
         fh.write("value\r\n")  # csv.writer's line terminator
         for k in range(0, len(samples), _DUMP_CHUNK):
-            fh.write("".join(f"{v:.17g}\r\n" for v in samples[k:k + _DUMP_CHUNK].tolist()))
+            chunk = samples[k:k + _DUMP_CHUNK].tolist()
+            fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
         fh.write(f"# config_hash={conf_hash} seed={seed}\n")
     log.info("wrote %s (%d rows)", path, len(samples))
 

@@ -52,6 +52,8 @@ def sample_perpetuity(
     """
     if not (0.0 < tol <= 1e-6):
         raise ModelError(f"truncation tolerance must lie in (0, 1e-6], got {tol}")
+    if replicas < 0:
+        raise ModelError("replicas must be nonnegative")
     out = np.empty(replicas)
     done = 0
     while done < replicas:
@@ -67,25 +69,27 @@ def _perpetuity_chunk(spec, lanes, rng, tol):
 
     states = np.searchsorted(spec.chain.cum_pi, rng.random(lanes), side="right")
     prod = np.ones(lanes)
-    value = np.ones(lanes)
-    active = np.arange(lanes)
+    value = np.ones(lanes)  # compacted with prod and states; a lane leaves it on retiring
+    lane = np.arange(lanes)
+    out = np.empty(lanes)
     terms = 0
-    while active.size:
+    while lane.size:
         terms += 1
         if terms > MAX_TERMS:
             raise NumericalError(
                 f"slow contraction: running product above {tol:g} after {MAX_TERMS} terms"
             )
-        prod = prod * rho[states]
-        value[active] += prod
+        prod *= rho.take(states)
+        value += prod
         keep = prod >= tol
         if not keep.all():
-            active = active[keep]
-            prod = prod[keep]
-            states = states[keep]
-        if active.size:
-            states = chain_move(cum_fwd, states, rng.random(active.size))
-    return value
+            gone = np.flatnonzero(~keep)
+            out[lane.take(gone)] = value.take(gone)
+            k = np.flatnonzero(keep)
+            lane, prod, states, value = lane.take(k), prod.take(k), states.take(k), value.take(k)
+        if lane.size:
+            states = chain_move(cum_fwd, states, rng.random(lane.size))
+    return out
 
 
 @dataclass(frozen=True)

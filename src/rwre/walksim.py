@@ -21,6 +21,8 @@ a batch to the scalar loop of ``run_to_hit``; every record equals the one
 
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, grown in place, edges tested on a countdown.
+The steps before a countdown runs out draw their uniforms in one call, as
+does each growth of the window.
 """
 
 from __future__ import annotations
@@ -597,8 +599,16 @@ def annealed_position_sample(
     a window's height of head-room added on both sides once a side runs
     short.  A lane moves one site per step, so the edges are re-measured
     only when a countdown, the distance from the nearest edge to its
-    closest lane, runs out.  Deterministic for fixed ``(spec, n_steps, seed)``.
+    closest lane, runs out.  The steps up to then form a segment: no edge
+    grows inside it, so its uniforms come from one ``rng.random((steps,
+    lanes))`` call, row by row the same stream as one call per step.  Each
+    growth draws its ``_EXTEND_CHUNK`` rows of chain uniforms in one call
+    too.  Deterministic for fixed ``(spec, n_steps, seed, batch)``.
     """
+    if n_steps < 0 or replicas < 0:
+        raise ModelError("step count and replicas must be nonnegative")
+    if batch < 1:
+        raise ModelError(f"batch must be at least one lane, got {batch}")
     out = np.empty(replicas, dtype=np.int64)
     done = 0
     b = 0
@@ -614,10 +624,10 @@ def _position_batch(spec, n_steps, lanes, rng):
     table, chunk = spec.chain, _EXTEND_CHUNK
 
     def fill(rows, cum, s):
-        # one lockstep chain move from ``s`` per buffer row
-        for r in rows:
-            s = chain_move(cum, s, rng.random(lanes))
-            buf[r] = spec.omega[s]
+        # one lockstep chain move from ``s`` per buffer row, uniforms drawn at once
+        for r, u in zip(rows, rng.random((len(rows), lanes))):
+            s = chain_move(cum, s, u)
+            spec.omega.take(s, out=buf[r], mode="clip")
         return s
 
     s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
@@ -627,13 +637,23 @@ def _position_batch(spec, n_steps, lanes, rng):
     s_lo = fill(range(origin - 1, lo - 1, -1), table.cum_fwd, s0)
     s_hi = fill(range(origin + 1, hi + 1), table.cum_rev, s0)
     idx = origin * lanes + np.arange(lanes)
+    # step buffers; take's default mode would copy through a temporary, and
+    # every index here lies inside its table, so "clip" never clips
+    om, right, step = np.empty(lanes), np.empty(lanes, dtype=bool), np.empty_like(idx)
+    move, side = np.array([-lanes, lanes]), right.view(np.uint8)  # move[side]: buffer offset
     countdown = chunk
-    for _ in range(n_steps):
-        u = rng.random(lanes)
-        idx += np.where(u < buf.take(idx), lanes, -lanes)
-        countdown -= 1
-        if countdown:
-            continue
+    while True:
+        # no lane can reach an edge within the segment: its uniforms come at once
+        seg = min(countdown, n_steps)
+        flat = buf.ravel()
+        for u in rng.random((seg, lanes)):
+            flat.take(idx, out=om, mode="clip")
+            np.less(u, om, out=right)
+            move.take(side, out=step, mode="clip")
+            idx += step
+        n_steps -= seg
+        if not n_steps:
+            return idx // lanes - origin
         if lo < chunk or hi + chunk >= len(buf):  # a side is short of head-room
             shift = hi - lo + 1
             new = np.empty((len(buf) + 2 * shift, lanes))
@@ -646,6 +666,4 @@ def _position_batch(spec, n_steps, lanes, rng):
         if idx.max() // lanes == hi:
             s_hi = fill(range(hi + 1, hi + chunk + 1), table.cum_rev, s_hi)
             hi += chunk
-        # no lane can reach an edge in fewer steps than this
         countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)
-    return idx // lanes - origin

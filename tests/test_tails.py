@@ -66,6 +66,12 @@ def test_perpetuity_tolerance_bounds():
         tails.sample_perpetuity(chains.chain_mk_k2(), 4, derive_rng(0, 0), tol=1e-3)
 
 
+def test_perpetuity_replica_count():
+    with pytest.raises(ModelError):
+        tails.sample_perpetuity(chains.chain_mk_k2(), -1, derive_rng(0, 0))
+    assert tails.sample_perpetuity(chains.chain_mk_k2(), 0, derive_rng(0, 0)).shape == (0,)
+
+
 def test_perpetuity_hill_insensitive_to_tolerance_doubling():
     spec = chains.chain_mk_k2()
     a = tails.sample_perpetuity(spec, 300_000, derive_rng(3, 0), tol=1e-12)

@@ -241,6 +241,22 @@ def test_annealed_sample_empty():
     assert out.values.size == 0
 
 
+@pytest.mark.parametrize("n_steps, replicas, batch", [
+    (10, 3, 0),     # no lane per batch: the batch loop made no progress
+    (64, 3, 0),
+    (10, 3, -2),
+    (10, -1, 512),
+    (-5, 3, 512),   # a negative step count must not count down forever
+])
+def test_position_sample_rejects_bad_arguments(n_steps, replicas, batch):
+    with pytest.raises(ModelError):
+        walksim.annealed_position_sample(chains.iid_k2(), n_steps, replicas, 0, batch=batch)
+
+
+def test_position_sample_empty():
+    assert walksim.annealed_position_sample(chains.iid_k2(), 10, 0, seed=0).shape == (0,)
+
+
 def test_annealed_mean_hitting_time_iid_k2():
     out = walksim.annealed_hitting_sample(chains.iid_k2(), 2000, 300, seed=5)
     ratios = out.values / 2000.0

@@ -3,14 +3,17 @@
 Runs ``perfbench/run.py --trace 0`` at its default length for every
 workload and seed in each given source tree, interleaving the trees seed
 by seed and swapping their order on every other seed so that drift of the
-host's speed hits them alike, and writes the medians of ``cpu_s``,
-``setup_s`` and ``peak_rss_mb`` per workload with each tree's commit and
-``src/rwre/*.py`` line count to ``BENCH_<pr>.json`` at the root of this
-repository:
+host's speed hits them alike, and writes the medians and quartiles of
+``cpu_s``, ``setup_s`` and ``peak_rss_mb`` per workload with each tree's
+commit and ``src/rwre/*.py`` line count to ``BENCH_<pr>.json`` at the root
+of this repository:
 
-    python3 tools/bench_record.py --pr 7 --seeds 0 1 2 \\
+    python3 tools/bench_record.py --pr 7 \\
         --tree parent=/path/to/parent/checkout --tree change=.
 
+Seeds 0-9 run by default, ten pairs per workload.  When trees labelled
+``parent`` and ``change`` both ran, ``pair_wins`` counts, per workload and
+metric, the seeds on which each side was lower (ties count for neither).
 Each tree must be a git checkout with no uncommitted changes to tracked
 files, so that the recorded commit is the code that ran (perfbench imports
 rwre from the tree's ``src/``).  Every run's own metrics, verdict and
@@ -56,12 +59,28 @@ def src_lines(tree: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "rwre").glob("*.py"))
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """First and third quartile, interpolated as ``numpy.percentile`` does."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def pair_wins(parent: list[dict], change: list[dict]) -> dict:
+    """Per metric, the seeds on which each tree was lower; ties count for neither."""
+    pairs = list(zip(parent, change, strict=True))  # the same seeds, in the same order
+    return {m: {"change": sum(c[m] < p[m] for p, c in pairs),
+                "parent": sum(p[m] < c[m] for p, c in pairs),
+                "pairs": len(pairs)} for m in METRICS}
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--workload", action="append", choices=WORKLOADS)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    p.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     args = p.parse_args(argv)
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
@@ -78,7 +97,11 @@ def main(argv=None) -> None:
         for label in trees:
             result["trees"][label]["workloads"][workload] = {
                 **{m: statistics.median(r[m] for r in runs[label]) for m in METRICS},
+                "quartiles": {m: quartiles([r[m] for r in runs[label]]) for m in METRICS},
                 "runs": runs[label]}
+        if {"parent", "change"} <= trees.keys():
+            result.setdefault("pair_wins", {})[workload] = pair_wins(runs["parent"],
+                                                                     runs["change"])
     out = Path(__file__).resolve().parents[1] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(out)
