@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwre import cli
+from rwre import cli, walksim
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 K2 = str(MODELS / "chain-mk-k2.toml")
@@ -143,6 +143,16 @@ def test_simulate_walk_thread_count_invariance(tmp_path):
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
         "1f56869cd953f5f12aea94b6a15f36fc57c5ab4598cf106f80de0354222c6530")
+
+
+def test_simulate_walk_lockstep_batches_golden(tmp_path):
+    # 700 replicas at n = 300 run as lockstep batches of 330, 330 and a
+    # scalar batch of 40; the seed spans three 32-bit words
+    assert walksim._batch_width(300) == 330 and 40 <= walksim._FINISH_LANES < 330
+    out = tmp_path / "walk.csv"
+    assert run_cli("simulate-walk", "--config", K2, "--n", 300, "--replicas", 700,
+                   "--seed", 2**64 + 5, "--out", out) == 0
+    assert _sha256(out) == "e222c715926f6e280a1da44ad4303cd806815f02e39a49d2cd3fe781fb4d4006"
 
 
 def test_simulate_branching_csv(tmp_path, capsys):
