@@ -10,6 +10,7 @@ and odds products drive the limit laws.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,6 @@ def sample_branching(
     cum_rows = spec.chain.fwd_rows
     om_list = [float(v) for v in spec.omega]
     inv_log = [1.0 / math.log1p(-v) for v in om_list]
-    k_states = len(om_list)
 
     states = np.empty(horizon + 1, dtype=np.int64)
     Z = np.zeros(horizon + 1, dtype=np.int64)
@@ -155,10 +155,7 @@ def sample_branching(
             bi = 0
         u = buf[bi]
         bi += 1
-        row = cum_rows[s]
-        s = 0
-        while s < k_states - 1 and u > row[s]:
-            s += 1
+        s = bisect_right(cum_rows[s], u)
         states[t + 1] = s
     return BranchPath(spec=spec, populations=Z, states=states, ledger=None)
 

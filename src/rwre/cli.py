@@ -223,11 +223,10 @@ def _cmd_simulate_branching(args) -> int:
         print(f"mean gap: {gaps.mean():.4g}, mean block population: "
               f"{trace.joint_blocks.mean():.4g}")
     if args.out:
-        rows = [
-            (j, int(gaps[j]), int(trace.joint_blocks[j]),
-             f"{blocks.products[j]:.12g}", f"{blocks.prefix_sums[j]:.12g}")
-            for j in range(len(gaps))
-        ]
+        columns = zip(gaps.tolist(), trace.joint_blocks.tolist(),
+                      blocks.products.tolist(), blocks.prefix_sums.tolist())
+        rows = [(j, gap, pop, f"{prod:.12g}", f"{load:.12g}")
+                for j, (gap, pop, prod, load) in enumerate(columns)]
         _write_csv(args.out, ["block", "gap", "population", "odds_product", "prefix_load"],
                    rows, _config_hash(args.config, {"n": args.n}), args.seed)
     return EXIT_OK

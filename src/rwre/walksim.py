@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_rng
+from ._rng import derive_rng, derive_rngs
 from .envmodel import EnvironmentSpec, chain_move, chain_walk
 from .errors import ModelError, NumericalError, WindowError
 
@@ -299,22 +299,30 @@ def reference_walks(
     """One reference walk to site ``n`` per replica, in replica order.
 
     Replica ``idx`` samples its window over ``[-_EXTEND_CHUNK, n - 1]`` from
-    ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``.
+    ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``;
+    one ``derive_rngs`` call per batch derives both streams of every replica.
     Replicas run in lockstep batches of as many lanes as ``_BATCH_BYTES``
     holds; the records are those of ``run_to_hit`` on each replica alone.
     A batch of at most ``_FINISH_LANES`` lanes (at large ``n`` every batch)
     is walked one replica at a time by ``run_to_hit``.
     """
+    if n < 1:
+        raise ModelError(f"target site must be >= 1, got {n}")
+    if replicas < 0:
+        raise ModelError("replicas must be nonnegative")
     width = _batch_width(n)
     for start in range(0, replicas, width):
-        ids = range(start, min(start + width, replicas))
-        if len(ids) <= _FINISH_LANES:
-            for i in ids:
-                env = sample_environment(spec, _EXTEND_CHUNK, n - 1, derive_rng(seed, i, 0))
-                yield run_to_hit(env, n, derive_rng(seed, i, 1), step_cap)
+        ids = np.arange(start, min(start + width, replicas))
+        m = ids.size
+        rngs = derive_rngs(seed, np.column_stack([np.tile(ids, 2), np.repeat([0, 1], m)]))
+        env_rngs, walk_rngs = rngs[:m], rngs[m:]
+        if m <= _FINISH_LANES:
+            for env_rng, walk_rng in zip(env_rngs, walk_rngs):
+                env = sample_environment(spec, _EXTEND_CHUNK, n - 1, env_rng)
+                yield run_to_hit(env, n, walk_rng, step_cap)
             continue
-        envs = _sample_windows(spec, _EXTEND_CHUNK, n - 1, [derive_rng(seed, i, 0) for i in ids])
-        yield from _Lockstep(envs, n, [derive_rng(seed, i, 1) for i in ids], step_cap).run()
+        envs = _sample_windows(spec, _EXTEND_CHUNK, n - 1, env_rngs)
+        yield from _Lockstep(envs, n, walk_rngs, step_cap).run()
 
 
 def _batch_width(n: int) -> int:

@@ -155,6 +155,27 @@ def test_simulate_walk_lockstep_batches_golden(tmp_path):
     assert _sha256(out) == "e222c715926f6e280a1da44ad4303cd806815f02e39a49d2cd3fe781fb4d4006"
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate-walk", "--config", K2, "--n", 10, "--replicas", 3),
+    ("simulate-branching", "--config", K2, "--n", 100),
+    ("tails", "--config", K2, "--samples", 100),
+    ("limit-check", "--config", K2, "--n", 10, "--replicas", 3),
+])
+def test_negative_seed_is_model_error(argv, capsys):
+    assert run_cli(*argv, "--seed", -1) == cli.EXIT_MODEL
+    assert "model error: stream seed and keys must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,replicas,message", [
+    (10, -3, "replicas must be nonnegative"),
+    (0, 3, "target site must be >= 1, got 0"),
+])
+def test_simulate_walk_bad_counts_are_model_errors(n, replicas, message, capsys):
+    assert run_cli("simulate-walk", "--config", K2, "--n", n, "--replicas", replicas) == (
+        cli.EXIT_MODEL)
+    assert f"model error: {message}" in capsys.readouterr().err
+
+
 def test_simulate_branching_csv(tmp_path, capsys):
     out = tmp_path / "branch.csv"
     assert run_cli("simulate-branching", "--config", K2, "--n", 5000,

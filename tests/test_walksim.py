@@ -309,15 +309,29 @@ def _assert_same_records(got, want):
     ("deep", 5, 40, 3000, -493, 29),  # extensions and censoring hundreds of sites down
 ])
 def test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
-                                           deepest, censored):
+                                           deepest, censored, seed=33):
     # floor 0 is pure lockstep, 10**6 pure scalar; the default mixes both
     monkeypatch.setattr(walksim, "_FINISH_LANES", floor)
     spec = DEEP if name == "deep" else getattr(chains, name)()
-    got = list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=step_cap))
-    _assert_same_records(got, _alone(spec, n, replicas, seed=33, step_cap=step_cap))
+    got = list(walksim.reference_walks(spec, n, replicas, seed=seed, step_cap=step_cap))
+    _assert_same_records(got, _alone(spec, n, replicas, seed=seed, step_cap=step_cap))
     assert min(r.deepest_site for r in got) == deepest
     assert sum(r.censored for r in got) == censored
     assert all(r.steps == step_cap for r in got if r.censored)
+
+
+@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
+@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
+    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -11, 0),
+    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -115, 0),
+    ("chain_mk_k1", 120, 70, 400, -37, 70),
+    ("deep", 5, 40, 3000, -586, 28),
+])
+def test_reference_walks_match_walks_alone_seed_past_2_64(monkeypatch, floor, name, n, replicas,
+                                                          step_cap, deepest, censored):
+    # a seed of three 32-bit words
+    test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
+                                           deepest, censored, seed=2**64 + 33)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -330,6 +344,16 @@ def test_reference_walks_batching_does_not_move_draws(monkeypatch, offset):
     for replicas in (1, width + offset, 3 * width + offset):
         got = list(walksim.reference_walks(chains.chain_mk_k2(), n, replicas, seed=8))
         _assert_same_records(got, _alone(chains.chain_mk_k2(), n, replicas, seed=8))
+
+
+@pytest.mark.parametrize("n,replicas,message", [
+    (10, -1, "replicas must be nonnegative"),
+    (0, 3, "target site must be >= 1, got 0"),
+    (-4, 0, "target site must be >= 1, got -4"),
+])
+def test_reference_walks_rejects_bad_counts(n, replicas, message):
+    with pytest.raises(ModelError, match=message):
+        list(walksim.reference_walks(chains.chain_mk_k2(), n, replicas, seed=1))
 
 
 def test_lockstep_hands_lanes_to_scalar_loop_past_memory_budget(monkeypatch):
