@@ -238,7 +238,6 @@ def test_limit_check_boundary_index_reports_shift(tmp_path, capsys):
 
 
 def test_limit_check_x_side_passes_step_cap(monkeypatch, capsys):
-    from rwre import walksim
     caps = []
     sampler = walksim.annealed_hitting_sample
 
