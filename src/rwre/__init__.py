@@ -10,11 +10,9 @@ at desk scale by exact small-instance computation and Monte Carlo.
 from .envmodel import (
     ArithmeticSpan,
     EnvironmentSpec,
-    MinorizationSplit,
     ValidationReport,
     detect_arithmetic,
     load_model,
-    minorization_split,
     reverse_kernel,
     stationary_distribution,
     validate,
@@ -27,7 +25,6 @@ __all__ = [
     "ArithmeticSpan",
     "EnvironmentSpec",
     "LightTailedError",
-    "MinorizationSplit",
     "ModelError",
     "NumericalError",
     "SpectralReport",
@@ -39,7 +36,6 @@ __all__ = [
     "detect_arithmetic",
     "load_model",
     "lyapunov_exponent",
-    "minorization_split",
     "reverse_kernel",
     "solve_crossing_profile",
     "solve_kappa",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, MinorizationSplit, chain_move, chain_walk, closed_cumsum
+from .envmodel import EnvironmentSpec, chain_move, chain_walk
 from .errors import ModelError, NumericalError
 from .walksim import reference_walks
 
@@ -30,11 +30,9 @@ __all__ = [
     "sample_branching",
     "extinction_times",
     "chain_regenerations",
-    "split_chain_with_regenerations",
     "common_regenerations",
     "block_products",
     "regen_trace",
-    "immigrant_progeny",
     "branch_population_sums",
     "branching_vs_walk_check",
 ]
@@ -44,34 +42,16 @@ POPULATION_LIMIT = 2**63 - 1
 _PATH_CHUNK = 1 << 16  # uniforms per draw of sample_chain_path
 
 
-def _offspring_sum(rng: np.random.Generator, count: int, om: float) -> int:
-    """Total offspring of ``count`` individuals with geometric(om) broods.
-
-    Individual inverse-CDF draws up to the cutoff; above it a single
-    negative-binomial draw, which is the same distribution.
-    """
-    if count <= 0:
-        return 0
-    if count > GEOMETRIC_CUTOFF:
-        return int(rng.negative_binomial(count, om))
-    u = rng.random(count)
-    return int(np.floor(np.log(u) / np.log1p(-om)).sum())
-
-
 @dataclass(frozen=True)
 class BranchPath:
-    """One realization: populations, generating chain states, optional ledger.
+    """One realization: populations and the generating chain states.
 
     ``populations[t]`` is the head count at generation ``t``; the offspring
-    law of generation ``t`` uses the chain state ``states[t]``.  When the
-    ledger is tracked, ``ledger[t]`` maps an immigrant's birth generation to
-    the size of its surviving line at generation ``t``.
+    law of generation ``t`` uses the chain state ``states[t]``.
     """
 
-    spec: EnvironmentSpec
     populations: np.ndarray
     states: np.ndarray
-    ledger: list[dict[int, int]] | None = None
 
     @property
     def horizon(self) -> int:
@@ -100,7 +80,6 @@ def sample_branching(
     spec: EnvironmentSpec,
     horizon: int,
     rng: np.random.Generator,
-    track_lineages: bool = False,
 ) -> BranchPath:
     """Simulate the immigration branching process over ``horizon`` generations.
 
@@ -110,8 +89,6 @@ def sample_branching(
     """
     if horizon < 1:
         raise ModelError("horizon must be >= 1")
-    if track_lineages:
-        return _sample_branching_ledger(spec, horizon, rng)
 
     # Hot loop: buffered uniforms and plain-python state, which beats numpy
     # scalar calls by an order of magnitude at typical population sizes.
@@ -133,6 +110,7 @@ def sample_branching(
         if count > GEOMETRIC_CUTOFF:
             if count > 2**53:
                 raise NumericalError(f"population explosion at generation {t + 1}")
+            # a negative-binomial draw is the same law as the sum of geometric broods
             z = int(rng.negative_binomial(count, om_list[s]))
         else:
             if bi + count + 1 > blen:
@@ -157,44 +135,7 @@ def sample_branching(
         bi += 1
         s = bisect_right(cum_rows[s], u)
         states[t + 1] = s
-    return BranchPath(spec=spec, populations=Z, states=states, ledger=None)
-
-
-def _sample_branching_ledger(spec, horizon, rng):
-    cum_fwd = spec.chain.cum_fwd
-    omega = spec.omega
-    states = np.empty(horizon + 1, dtype=np.int64)
-    states[0] = np.searchsorted(spec.chain.cum_pi, rng.random(), side="right")
-    Z = np.zeros(horizon + 1, dtype=np.int64)
-    ledger: list[dict[int, int]] = [{}]
-    for t in range(horizon):
-        om = omega[states[t]]
-        broods = {}
-        for birth, count in ledger[t].items():
-            kids = _offspring_sum(rng, count, om)
-            if kids:
-                broods[birth] = kids
-        kids = _offspring_sum(rng, 1, om)
-        if kids:
-            broods[t] = kids
-        ledger.append(broods)
-        total = sum(broods.values())
-        if total > POPULATION_LIMIT:
-            raise NumericalError(f"population explosion at generation {t + 1}")
-        Z[t + 1] = total
-        states[t + 1] = np.searchsorted(cum_fwd[states[t]], rng.random(), side="right")
-    return BranchPath(spec=spec, populations=Z, states=states, ledger=ledger)
-
-
-def immigrant_progeny(path: BranchPath) -> np.ndarray:
-    """Total progeny of each generation's immigrant, from the ledger."""
-    if path.ledger is None:
-        raise ModelError("path was sampled without lineage tracking")
-    out = np.zeros(path.horizon, dtype=np.int64)
-    for broods in path.ledger:
-        for birth, count in broods.items():
-            out[birth] += count
-    return out
+    return BranchPath(populations=Z, states=states)
 
 
 def extinction_times(populations: np.ndarray) -> np.ndarray:
@@ -222,59 +163,6 @@ def chain_regenerations(
     hits = (states == regen_state) & (rng.random(states.shape[0]) < coin)
     hits[0] = False
     return np.concatenate([[0], np.flatnonzero(hits)]).astype(np.int64)
-
-
-def split_chain_with_regenerations(
-    spec: EnvironmentSpec,
-    split: MinorizationSplit,
-    n_blocks: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain path plus regeneration times from the minorization splitting.
-
-    Every ``m`` steps the next skeleton state is drawn from the split
-    measure with probability ``r`` (a regeneration, recorded at that
-    time) or from the normalized residual kernel otherwise; interior
-    states are bridged by rejection against the one-step law.  Marginally
-    the path follows the original kernel.
-    """
-    m, r, psi, theta = split.m, split.r, split.psi, split.theta
-    cum_psi = closed_cumsum(psi)
-    cum_theta = np.cumsum(theta, axis=1)  # rows total 1 - r: scale each draw by its row's end
-    cum_fwd = spec.chain.cum_fwd
-    col_max = spec.H.max(axis=0)
-
-    states = np.empty(n_blocks * m + 1, dtype=np.int64)
-    states[0] = np.searchsorted(spec.chain.cum_pi, rng.random(), side="right")
-    regens = [0]
-    for j in range(n_blocks):
-        x0 = int(states[j * m])
-        if r >= 1.0 or rng.random() < r:
-            x_m = int(np.searchsorted(cum_psi, rng.random(), side="right"))
-            regens.append((j + 1) * m)
-        else:
-            row = cum_theta[x0]
-            x_m = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
-        if m > 1:
-            states[j * m + 1:(j + 1) * m] = _bridge(
-                spec, cum_fwd, col_max, x0, x_m, m, rng
-            )
-        states[(j + 1) * m] = x_m
-    return states, np.asarray(regens, dtype=np.int64)
-
-
-def _bridge(spec, cum_fwd, col_max, x0, x_m, m, rng, max_tries: int = 1_000_000):
-    """Interior states given both skeleton endpoints, by rejection sampling."""
-    bound = col_max[x_m]
-    for _ in range(max_tries):
-        path = np.empty(m - 1, dtype=np.int64)
-        s = x0
-        for i in range(m - 1):
-            s = int(np.searchsorted(cum_fwd[s], rng.random(), side="right"))
-            path[i] = s
-        if rng.random() * bound < spec.H[s, x_m]:
-            return path
-    raise NumericalError("bridge rejection sampling did not accept")
 
 
 def common_regenerations(nu: np.ndarray, regens: np.ndarray) -> np.ndarray:

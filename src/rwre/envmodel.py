@@ -35,12 +35,10 @@ __all__ = [
     "closed_cumsum",
     "ValidationReport",
     "ArithmeticSpan",
-    "MinorizationSplit",
     "stationary_distribution",
     "reverse_kernel",
     "validate",
     "detect_arithmetic",
-    "minorization_split",
     "load_model",
     "parse_model_text",
 ]
@@ -252,16 +250,6 @@ class ValidationReport:
         )
 
 
-@dataclass(frozen=True)
-class MinorizationSplit:
-    """Uniform minorization ``H^m >= r * psi`` with residual kernel ``Theta``."""
-
-    m: int
-    r: float
-    psi: np.ndarray
-    theta: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Chain structure
 # ---------------------------------------------------------------------------
@@ -412,34 +400,6 @@ def detect_arithmetic(spec: EnvironmentSpec) -> ArithmeticSpan:
     if alpha < GCD_FLOOR:
         return ArithmeticSpan(arithmetic=False)
     return ArithmeticSpan(arithmetic=True, alpha=alpha, gamma=np.mod(gamma, alpha))
-
-
-def minorization_split(spec: EnvironmentSpec, m: int = 1) -> MinorizationSplit:
-    """Split ``H^m`` into ``Theta + r * ones psi^T`` with the largest uniform coin.
-
-    ``psi`` is the normalized column-minimum measure, which maximizes ``r``
-    for a uniform minorization; columns whose minimum vanishes simply get no
-    ``psi`` mass.  If every column minimum vanishes there is no uniform
-    minorization at this power.
-    """
-    if m < 1:
-        raise ModelError(f"kernel power must be >= 1, got {m}")
-    if not is_irreducible(spec.H):
-        raise ModelError("minorization requires an irreducible chain")
-    Hm = np.linalg.matrix_power(spec.H, m)
-    mins = Hm.min(axis=0)
-    r = float(mins.sum())
-    if r <= 0.0:
-        raise ModelError(
-            f"no uniform minorization at m={m}: every column of H^{m} has a zero "
-            "minimum; try a larger m"
-        )
-    psi = mins / r
-    theta = Hm - r * psi[None, :]
-    theta[(theta < 0) & (theta > -1e-15)] = 0.0
-    if np.any(theta < 0):
-        raise ModelError("negative residual kernel entry beyond rounding tolerance")
-    return MinorizationSplit(m=m, r=r, psi=psi, theta=theta)
 
 
 # ---------------------------------------------------------------------------

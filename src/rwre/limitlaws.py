@@ -307,7 +307,7 @@ def fit_shift_b(samples: np.ndarray) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _classify(kappa: float) -> str:
+def regime_name(kappa: float) -> str:
     if abs(kappa - 1.0) <= REGIME_TOL:
         return "{1}"
     if abs(kappa - 2.0) <= REGIME_TOL:
@@ -319,10 +319,6 @@ def _classify(kappa: float) -> str:
     raise NumericalError(
         f"kappa = {kappa:.6g} > 2: standard CLT regime, outside the stable-law scope"
     )
-
-
-def regime_name(kappa: float) -> str:
-    return _classify(kappa)
 
 
 def normalization(
@@ -341,7 +337,7 @@ def normalization(
     sits ``O(1 / log n)`` to the left of zero, and the limit check fits
     that shift rather than building it into the centering.
     """
-    regime = _classify(kappa)
+    regime = regime_name(kappa)
     if regime == "(0,1)":
         return 0.0, float(n) ** (1.0 / kappa)
     if regime == "{1}":
@@ -433,7 +429,7 @@ def limit_check_T(
         kappa = spectral.solve_kappa(spec).kappa
     kappa = _snap(kappa)
     _warn_if_arithmetic(spec)
-    regime = _classify(kappa)
+    regime = regime_name(kappa)
     if regime in ("(1,2)", "{2}") and v is None:
         v = speedmod.compute_speed(spec, kappa).v
 
@@ -490,7 +486,7 @@ def transfer_T_to_X(
     refit on the mapped samples for round-trip diagnostics.
     """
     kappa = _snap(kappa)
-    regime = _classify(kappa)
+    regime = regime_name(kappa)
     xs = np.asarray(x_samples, dtype=float)
     b_t = t_report.b
     shift = 0.0
@@ -572,7 +568,7 @@ def limit_check_X(
     if kappa is None:
         kappa = t_report.kappa if t_report is not None else spectral.solve_kappa(spec).kappa
     kappa = _snap(kappa)
-    regime = _classify(kappa)
+    regime = regime_name(kappa)
     if regime != "(0,1)" and v is None:
         v = speedmod.compute_speed(spec, kappa).v
     if t_report is None:

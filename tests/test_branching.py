@@ -12,22 +12,36 @@ from rwre._rng import derive_rng
 from rwre.errors import ModelError, NumericalError
 
 
-def test_offspring_mean_matches_geometric():
-    rng = derive_rng(1, 0)
-    total = branching._offspring_sum(rng, 1_000_000, 1 / 3)
-    mean = total / 1_000_000
-    se = np.sqrt(6.0) / 1000  # Var of geometric(1/3) is 6
-    assert abs(mean - 2.0) < 4 * se
-
-
-def test_offspring_negative_binomial_branch_matches():
-    rng = derive_rng(2, 0)
-    count = 12_000  # above the individual-draw cutoff
+def test_offspring_law_in_every_draw_branch():
+    # Supercritical single state, omega = 0.4 (m = 1.5): 40 generations carry
+    # the count c = Z[t] + 1 through all three draws of the hot loop (scalar
+    # sum for c <= 16, numpy sum up to GEOMETRIC_CUTOFF, negative binomial
+    # above).  Given c, Z[t+1] sums c geometric broods, with mean c*m and
+    # variance c*m/omega, so each standardised residual has mean 0, variance 1.
     om = 0.4
-    draws = np.array([branching._offspring_sum(rng, count, om) for _ in range(300)])
-    mean_expected = count * (1 - om) / om
-    se = draws.std(ddof=1) / np.sqrt(len(draws))
-    assert abs(draws.mean() - mean_expected) < 4 * se
+    m = (1 - om) / om
+    spec = envmodel.EnvironmentSpec(states=("hot",), H=np.array([[1.0]]),
+                                    omega=np.array([om]), epsilon=0.1)
+    c, nxt = [], []
+    for seed in range(300):
+        Z = branching.sample_branching(spec, 40, derive_rng(seed, 0)).populations
+        c.append(Z[:-1] + 1)
+        nxt.append(Z[1:])
+    c = np.concatenate(c).astype(float)
+    r = (np.concatenate(nxt) - c * m) / np.sqrt(c * m / om)
+    branches = {
+        "scalar": c <= 16,
+        "numpy": (c > 16) & (c <= branching.GEOMETRIC_CUTOFF),
+        "negative binomial": c > branching.GEOMETRIC_CUTOFF,
+    }
+    for name, sel in branches.items():
+        x = r[sel]
+        n = x.size
+        assert n > 1000, name
+        assert abs(x.mean()) < 4 * x.std(ddof=1) / np.sqrt(n), name
+        # the sample variance is a mean of the n terms x**2, whose own
+        # variance is E x**4 - 1: bound it at 4 of its standard errors
+        assert abs(np.mean(x**2) - 1.0) < 4 * np.sqrt((np.mean(x**4) - 1.0) / n), name
 
 
 def test_quiet_environment_stays_small():
@@ -162,58 +176,6 @@ def test_block_moment_identity_k1():
     assert abs(m.mean() - 1.0) < 4 * se
 
 
-def test_split_construction_matches_two_step_kernel():
-    spec = chains.chain_mk_k1()
-    split = envmodel.minorization_split(spec, m=2)
-    rng = derive_rng(8, 0)
-    states, N = branching.split_chain_with_regenerations(spec, split, 150_000, rng)
-    assert np.all(N % 2 == 0)
-    # skeleton transition frequencies against H^2
-    H2 = np.linalg.matrix_power(spec.H, 2)
-    skel = states[::2]
-    for x in (0, 1):
-        idx = np.flatnonzero(skel[:-1] == x)
-        freq = np.mean(skel[idx + 1] == 0)
-        se = np.sqrt(H2[x, 0] * (1 - H2[x, 0]) / idx.size)
-        assert abs(freq - H2[x, 0]) < 4 * se
-    # regenerated states follow the split measure
-    hits = states[N[1:]]
-    freq = np.mean(hits == 0)
-    se = np.sqrt(split.psi[0] * (1 - split.psi[0]) / hits.size)
-    assert abs(freq - split.psi[0]) < 4 * se
-
-
-def test_split_tables_closed_at_top_uniform():
-    # cumsum(psi) ends at 1 - 2**-52 here, so before the tables were closed
-    # the top uniform drew state 3 of 3 and the next block raised IndexError.
-    H = np.array([[0.45, 0.12, 0.43], [0.19, 0.71, 0.1], [0.08, 0.3, 0.62]])
-    spec = envmodel.EnvironmentSpec(states=("a", "b", "c"), H=H,
-                                    omega=np.array([0.4, 0.5, 0.6]), epsilon=0.1)
-    split = envmodel.minorization_split(spec, m=1)
-    assert np.cumsum(split.psi)[-1] < chains.TopUniforms.TOP
-    # start at state 0, regenerate (coin 0 < r) with the top uniform, then
-    # take the residual kernel with the top uniform
-    states, regens = branching.split_chain_with_regenerations(
-        spec, split, 2, chains.TopUniforms(0.0, 0.0))
-    assert states.tolist() == [0, 2, 2]
-    assert regens.tolist() == [0, 1]
-
-
-def test_split_bridge_conditional_law():
-    spec = chains.chain_mk_k1()
-    split = envmodel.minorization_split(spec, m=2)
-    rng = derive_rng(9, 0)
-    states, _ = branching.split_chain_with_regenerations(spec, split, 150_000, rng)
-    x0, x2 = 0, 1
-    idx = np.flatnonzero((states[:-2:2] == x0) & (states[2::2] == x2)) * 2
-    mids = states[idx + 1]
-    H = spec.H
-    target = H[x0, 0] * H[0, x2] / (H[x0, 0] * H[0, x2] + H[x0, 1] * H[1, x2])
-    freq = np.mean(mids == 0)
-    se = np.sqrt(target * (1 - target) / mids.size)
-    assert abs(freq - target) < 4 * se
-
-
 def test_regen_trace_block_partition():
     spec = chains.chain_mk_k2()
     rng = derive_rng(10, 0)
@@ -266,22 +228,6 @@ def test_joint_gap_clt_shape():
     batches = gaps[: (gaps.size // g) * g].reshape(-1, g).sum(axis=1)
     z = (batches - batches.mean()) / batches.std(ddof=1)
     assert stats.kstest(z, "norm").pvalue > 0.01
-
-
-def test_ledger_reconstructs_immigrant_progeny():
-    spec = chains.chain_mk_k1()
-    path = branching.sample_branching(spec, 3000, derive_rng(14, 0), track_lineages=True)
-    Y = branching.immigrant_progeny(path)
-    nu = branching.extinction_times(path.populations)
-    cz = np.concatenate([[0], np.cumsum(path.populations)])
-    for j in range(len(nu) - 1):
-        assert cz[nu[j + 1]] - cz[nu[j]] == Y[nu[j]:nu[j + 1]].sum()
-
-
-def test_ledger_requires_tracking():
-    path = branching.sample_branching(chains.chain_mk_k1(), 100, derive_rng(15, 0))
-    with pytest.raises(ModelError):
-        branching.immigrant_progeny(path)
 
 
 def test_population_explosion_aborts():

@@ -233,52 +233,6 @@ def test_arithmetic_scale_consistency():
     assert a2 == pytest.approx(2.0 * a1, abs=1e-9)
 
 
-def test_minorization_identical_rows():
-    split = envmodel.minorization_split(chains.iid_k2(), m=1)
-    assert split.r == pytest.approx(1.0, abs=1e-15)
-    assert np.max(np.abs(split.theta)) < 1e-15
-    assert np.allclose(split.psi, [1 / 5, 4 / 5], atol=1e-15)
-
-
-def test_minorization_worked_example():
-    spec = chains.chain_mk_k1()
-    split = envmodel.minorization_split(spec, m=1)
-    assert split.r == pytest.approx(0.8, abs=1e-15)
-    assert np.allclose(split.psi, [0.75, 0.25], atol=1e-15)
-    assert np.max(np.abs(split.theta - np.array([[0.2, 0.0], [0.0, 0.2]]))) < 1e-12
-
-
-def test_minorization_periodic_has_no_uniform_coin():
-    spec = EnvironmentSpec(states=("a", "b"), H=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                           omega=np.array([0.4, 0.6]), epsilon=0.1)
-    with pytest.raises(ModelError, match="no uniform minorization"):
-        envmodel.minorization_split(spec, m=1)
-    # a zero column only shrinks the split measure's support, it is not fatal
-    spec2 = EnvironmentSpec(states=("a", "b"), H=np.array([[0.5, 0.5], [1.0, 0.0]]),
-                            omega=np.array([0.4, 0.6]), epsilon=0.1)
-    split = envmodel.minorization_split(spec2, m=1)
-    assert split.r == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(split.psi, [1.0, 0.0], atol=1e-15)
-    recon = split.theta + split.r * np.outer(np.ones(2), split.psi)
-    assert np.max(np.abs(recon - spec2.H)) < 1e-12
-
-
-def test_minorization_reconstruction_property():
-    rng = np.random.default_rng(23)
-    for _ in range(8):
-        H = rng.uniform(0.01, 1.0, (3, 3))
-        H /= H.sum(axis=1, keepdims=True)
-        spec = EnvironmentSpec(states=("a", "b", "c"), H=H,
-                               omega=np.array([0.3, 0.5, 0.7]), epsilon=0.1)
-        for m in (1, 2, 3):
-            split = envmodel.minorization_split(spec, m=m)
-            Hm = np.linalg.matrix_power(H, m)
-            recon = split.theta + split.r * np.outer(np.ones(3), split.psi)
-            assert np.max(np.abs(recon - Hm)) < 1e-12
-            assert np.all(split.theta >= 0)
-            assert np.all(split.r * split.psi[None, :] <= Hm + 1e-15)
-
-
 def test_model_files_match_programmatic_fixtures():
     pairs = {
         "chain-mk-k1.toml": chains.chain_mk_k1(),
