@@ -237,10 +237,15 @@ def test_population_explosion_aborts():
         branching.sample_branching(spec, 5000, derive_rng(16, 0))
 
 
-def test_branch_population_sums_golden():
-    sums = branching.branch_population_sums(chains.chain_mk_k2(), 200, 2000, derive_rng(6, 2))
+@pytest.mark.parametrize("make, n, digest", [
+    (chains.chain_mk_k2, 200, "8806800de3859a8f"),
+    (chains.chain_mk_k2, 2, "d279205b8bc78256"),  # one generation summed past Z_0 = 0
+    (chains.nonarith_sub1, 200, "dc250ec4566a9c75"),  # heavy counts, up to about 2e10
+])
+def test_branch_population_sums_golden(make, n, digest):
+    sums = branching.branch_population_sums(make(), n, 2000, derive_rng(6, 2))
     text = ",".join(map(str, sums.tolist()))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8806800de3859a8f"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_branching_vs_walk_single_site_trivial():
