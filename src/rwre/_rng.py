@@ -21,7 +21,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ModelError
 
-__all__ = ["derive_rng", "derive_rngs", "master_rng"]
+__all__ = ["derive_rng", "derive_rngs"]
 
 # numpy.random.SeedSequence's constants: a 4-word pool, hashmix constants
 # (A), generate_state constants (B) and the mix multipliers.
@@ -65,12 +65,6 @@ def _nonnegative(seed, key=()) -> tuple[int, tuple[int, ...]]:
     if seed < 0 or any(k < 0 for k in key):
         raise ModelError(f"stream seed and keys must be nonnegative, got {(seed, *key)}")
     return seed, key
-
-
-def master_rng(seed: int) -> np.random.Generator:
-    """Single stream keyed by the master seed alone."""
-    seed, _ = _nonnegative(seed)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -17,9 +17,10 @@ import numpy as np
 from scipy import stats
 
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, chain_move, chain_walk
+from .envmodel import EnvironmentSpec, chain_walk
 from .errors import ModelError, NumericalError
-from .walksim import reference_walks
+from .spectral import REGEN_COIN, REGEN_STATE
+from .walksim import forced_crossings, reference_walks
 
 __all__ = [
     "BranchPath",
@@ -229,14 +230,11 @@ class RegenTrace:
     truncated: bool  # horizon cut the path inside a joint block
 
 
-def regen_trace(
-    path: BranchPath,
-    regen_state: int,
-    coin: float,
-    rng: np.random.Generator,
-) -> RegenTrace:
+def regen_trace(path: BranchPath, rng: np.random.Generator) -> RegenTrace:
+    """Extinctions, chain regenerations at ``REGEN_STATE`` with coin
+    ``REGEN_COIN`` (uniforms from ``rng``) and the totals between them."""
     nu = extinction_times(path.populations)
-    N = chain_regenerations(path.states, regen_state, coin, rng)
+    N = chain_regenerations(path.states, REGEN_STATE, REGEN_COIN, rng)
     joint = common_regenerations(nu, N)
     cz = np.concatenate([[0], np.cumsum(path.populations)])
     w_ext = cz[nu[1:]] - cz[nu[:-1]]
@@ -256,18 +254,11 @@ def branch_population_sums(
 ) -> np.ndarray:
     """Vectorized ensemble of ``sum_{t < n} Z_t`` over independent replicas.
 
-    Lanes run in lockstep; per-generation offspring use the
-    negative-binomial equivalent of the geometric sum.
+    With ``Z_0 = 0`` and ``Z_t`` the left moves at the ``t``-th site, the
+    sum is the :func:`~rwre.walksim.forced_crossings` total over ``n - 1``
+    sites; an exploded count raises ``NumericalError``.
     """
-    cum_fwd = spec.chain.cum_fwd
-    states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
-    Z = np.zeros(replicas, dtype=np.int64)
-    total = np.zeros(replicas, dtype=np.int64)
-    for _ in range(n):
-        total += Z
-        Z = rng.negative_binomial(Z + 1, spec.omega[states])
-        states = chain_move(cum_fwd, states, rng.random(replicas))
-    return total
+    return forced_crossings(spec, n - 1, replicas, rng)[1]
 
 
 @dataclass(frozen=True)

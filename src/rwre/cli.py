@@ -82,22 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rwre", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def common(sp, csv=True):
         sp.add_argument("--config", required=True, help="model file (TOML)")
-        sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are single-threaded")
-        if out:
+        if csv:  # a CSV's metadata line records the seed
+            sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
             sp.add_argument("--out", help="CSV output path")
 
     sp = sub.add_parser("validate", help="run all model assumption checks")
-    common(sp, out=False)
+    common(sp, csv=False)
 
     sp = sub.add_parser("kappa", help="tail index and tilt-exponent curve")
     common(sp)
 
     sp = sub.add_parser("speed", help="asymptotic speed and crossing profile")
-    common(sp, out=False)
+    common(sp, csv=False)
     sp.add_argument("--r-samples", help="file of series samples for the cross-check")
 
     sp = sub.add_parser("simulate-walk", help="annealed hitting-time replicas")
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--samples", type=int, default=100_000, help="series draws")
     sp.add_argument("--tol", type=float, default=tails.DEFAULT_TOL)
-    sp.add_argument("--top-fraction", type=float, default=0.01)
     sp.add_argument("--threshold", type=float, help="tail probability target")
     sp.add_argument("--dump", action="store_true", help="also dump raw samples")
 
@@ -214,7 +213,7 @@ def _cmd_simulate_branching(args) -> int:
     spec = envmodel.load_model(args.config)
     rng = derive_rng(args.seed, 0)
     path = branching.sample_branching(spec, args.n, rng)
-    trace = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+    trace = branching.regen_trace(path, rng)
     logr = np.log(spec.rho)[path.states]
     blocks = branching.block_products(logr, trace.joint)
     gaps = np.diff(trace.joint)
@@ -237,7 +236,7 @@ def _cmd_tails(args) -> int:
     rep = spectral.solve_kappa(spec)
     samples = tails.sample_perpetuity(spec, args.samples, derive_rng(args.seed, 0),
                                       tol=args.tol)
-    report = tails.tail_report(spec, rep.kappa, samples, args.tol)
+    report = tails.tail_report(rep.kappa, samples)
     print(f"kappa = {rep.kappa:.12g}, samples = {args.samples}, tol = {args.tol:g}")
     for frac, h in sorted(report.hill.items(), reverse=True):
         print(f"hill(top {frac:g}) = {h.index:.4f}  [{h.ci_low:.4f}, {h.ci_high:.4f}] "

@@ -109,11 +109,6 @@ class EnvironmentSpec:
         """Per-state odds of a left step, ``(1 - omega) / omega``."""
         return (1.0 - self.omega) / self.omega
 
-    @property
-    def c_rho(self) -> float:
-        """Uniform odds bound ``(1 - epsilon) / epsilon``."""
-        return (1.0 - self.epsilon) / self.epsilon
-
     def log_rho(self) -> np.ndarray:
         return np.log(self.rho)
 
@@ -236,18 +231,6 @@ class ValidationReport:
     a3_negative_beta: float | None = None
     a3_nonnegative_beta: float | None = None
     arithmetic_span: ArithmeticSpan | None = None
-
-    @property
-    def ok(self) -> bool:
-        """All structural assumptions hold and the walk is right-transient."""
-        return (
-            self.irreducible
-            and self.drift is not None
-            and self.drift < 0.0
-            and self.a3_negative_beta is not None
-            and self.arithmetic_span is not None
-            and not self.arithmetic_span.arithmetic
-        )
 
 
 # ---------------------------------------------------------------------------

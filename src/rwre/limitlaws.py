@@ -408,6 +408,15 @@ def _warn_if_arithmetic(spec: EnvironmentSpec) -> None:
         )
 
 
+def _check_size(n: int, replicas: int) -> None:
+    # the schedules divide by log n; the fit needs MIN_FIT_SAMPLES samples
+    if n < 2:
+        raise ModelError(f"limit check needs n >= 2, got {n}")
+    if replicas < MIN_FIT_SAMPLES:
+        raise ModelError(f"limit check needs at least {MIN_FIT_SAMPLES} replicas, "
+                         f"got {replicas}")
+
+
 def limit_check_T(
     spec: EnvironmentSpec,
     n: int,
@@ -415,7 +424,6 @@ def limit_check_T(
     seed: int,
     kappa: float | None = None,
     v: float | None = None,
-    method: str = "blocks",
     step_cap: int | None = None,
 ) -> LimitCheckReport:
     """Simulate hitting times, normalize per regime, fit the scale, report KS.
@@ -425,6 +433,7 @@ def limit_check_T(
     """
     from . import spectral, speed as speedmod, walksim
 
+    _check_size(n, replicas)
     if kappa is None:
         kappa = spectral.solve_kappa(spec).kappa
     kappa = _snap(kappa)
@@ -433,9 +442,7 @@ def limit_check_T(
     if regime in ("(1,2)", "{2}") and v is None:
         v = speedmod.compute_speed(spec, kappa).v
 
-    sample = walksim.annealed_hitting_sample(
-        spec, n, replicas, seed, step_cap=step_cap, method=method
-    )
+    sample = walksim.annealed_hitting_sample(spec, n, replicas, seed, step_cap=step_cap)
     vals = sample.complete
     censored_fraction = 1.0 - vals.size / replicas
     if censored_fraction > 0.01:
@@ -501,8 +508,6 @@ def transfer_T_to_X(
         b_used = b_t
         b_refit = None
     elif regime == "{1}":
-        if v is None:
-            raise ModelError("index-one transfer needs the speed for reporting")
         center = float(np.median(xs))
         scale = n / math.log(n) ** 2
         z = np.sort((xs - center) / scale)
@@ -565,11 +570,12 @@ def limit_check_X(
     ``t_report``, first run the hitting-time side with ``step_cap``."""
     from . import spectral, speed as speedmod, walksim
 
+    _check_size(n, replicas)
     if kappa is None:
         kappa = t_report.kappa if t_report is not None else spectral.solve_kappa(spec).kappa
     kappa = _snap(kappa)
     regime = regime_name(kappa)
-    if regime != "(0,1)" and v is None:
+    if regime in ("(1,2)", "{2}") and v is None:
         v = speedmod.compute_speed(spec, kappa).v
     if t_report is None:
         t_report = limit_check_T(

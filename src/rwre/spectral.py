@@ -22,7 +22,6 @@ from .envmodel import EnvironmentSpec, is_irreducible, stationary_distribution
 from .errors import LightTailedError, ModelError, NumericalError
 
 __all__ = [
-    "TiltedKernel",
     "RadiusResult",
     "SpectralReport",
     "tilt",
@@ -38,14 +37,10 @@ RESIDUAL_TOL = 1e-10
 BETA_GRID = 2.0 ** np.arange(-6, 7)
 BETA_FLOOR = 2.0**-30  # below, Lambda ~ drift * beta nears its ~1e-16 rounding noise
 ROOT_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
-
-
-@dataclass(frozen=True)
-class TiltedKernel:
-    """Entrywise tilt of the transition matrix by ``rho**beta``."""
-
-    beta: float
-    M: np.ndarray
+# Regeneration scheme: the chain regenerates at REGEN_STATE when an
+# independent coin with success probability REGEN_COIN comes up.
+REGEN_STATE = 0
+REGEN_COIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,18 +61,16 @@ class SpectralReport:
     lambdas: np.ndarray
     radii: np.ndarray
     f_kappa: np.ndarray
-    regen_state: int
-    coin: float
     theta_kappa_radius: float
     theta_margin: float
     residual: float
 
 
-def tilt(spec: EnvironmentSpec, beta: float) -> TiltedKernel:
-    """Kernel ``H(x, y) * rho(y)**beta``; ``beta = 0`` returns ``H`` itself."""
+def tilt(spec: EnvironmentSpec, beta: float) -> np.ndarray:
+    """Kernel ``H(x, y) * rho(y)**beta``, a new array; ``beta = 0`` gives ``H``."""
     if beta < 0:
         raise ModelError(f"tilt exponent must be >= 0, got {beta}")
-    return TiltedKernel(beta=float(beta), M=spec.H * spec.rho[None, :] ** beta)
+    return spec.H * spec.rho[None, :] ** beta
 
 
 def spectral_radius(M: np.ndarray) -> RadiusResult:
@@ -122,7 +115,7 @@ def lyapunov_exponent(spec: EnvironmentSpec, beta: float) -> float:
     """
     if beta == 0.0:
         return 0.0
-    return float(np.log(np.max(np.abs(np.linalg.eigvals(tilt(spec, beta).M)))))
+    return float(np.log(np.max(np.abs(np.linalg.eigvals(tilt(spec, beta))))))
 
 
 def moment_bracket(spec: EnvironmentSpec) -> tuple[np.ndarray, float | None, float | None]:
@@ -149,10 +142,9 @@ def moment_bracket(spec: EnvironmentSpec) -> tuple[np.ndarray, float | None, flo
     return lams, None, hi
 
 
-def sub_stochastic_radius(
-    spec: EnvironmentSpec, r: float, kappa: float, regen_state: int = 0
-) -> tuple[float, float]:
-    """Spectral radius of the tilted between-regenerations kernel.
+def sub_stochastic_radius(spec: EnvironmentSpec, r: float, kappa: float) -> tuple[float, float]:
+    """Spectral radius of the tilted between-regenerations kernel, the
+    chain regenerating at ``REGEN_STATE`` with coin ``r``.
 
     Returns ``(radius, margin)`` where ``margin = 1 - radius`` must be
     positive; a margin below 1e-6 triggers a "regeneration coin too weak"
@@ -160,10 +152,8 @@ def sub_stochastic_radius(
     """
     if not (0.0 < r <= 1.0):
         raise ModelError(f"regeneration coin must lie in (0, 1], got {r}")
-    if not (0 <= regen_state < spec.n_states):
-        raise ModelError(f"regeneration state {regen_state} out of range")
-    theta_k = spec.H * spec.rho[None, :] ** kappa
-    theta_k[:, regen_state] *= 1.0 - r
+    theta_k = tilt(spec, kappa)
+    theta_k[:, REGEN_STATE] *= 1.0 - r
     radius = spectral_radius(theta_k).radius
     margin = 1.0 - radius
     if margin < 1e-6:
@@ -175,18 +165,17 @@ def sub_stochastic_radius(
     return radius, margin
 
 
-def solve_kappa(
-    spec: EnvironmentSpec, regen_state: int = 0, coin: float = 0.5
-) -> SpectralReport:
+def solve_kappa(spec: EnvironmentSpec) -> SpectralReport:
     """Locate the positive root of the moment Lyapunov exponent.
 
     ``brentq`` to a relative ``4 * eps`` on the :func:`moment_bracket`
     bracket, whose grid values are the report's ``lambdas``.  The report
     carries the Perron vector of the kappa-tilted kernel normalized so that
-    ``f[regen_state] * rho[regen_state]**kappa = 1``, plus the spectral
-    radius of the tilted between-regenerations kernel and its margin below
-    one.  A margin that double precision cannot resolve only warns
-    (:func:`sub_stochastic_radius`): kappa does not depend on it.
+    ``f[REGEN_STATE] * rho[REGEN_STATE]**kappa = 1``, plus the spectral
+    radius of the tilted between-regenerations kernel (coin ``REGEN_COIN``)
+    and its margin below one.  A margin that double precision cannot
+    resolve only warns (:func:`sub_stochastic_radius`): kappa does not
+    depend on it.
     """
     pi = stationary_distribution(spec.H)
     drift = float(pi @ spec.log_rho())
@@ -210,11 +199,11 @@ def solve_kappa(
         raise NumericalError(f"kappa root search ended at |Lambda({kappa:.17g})| = "
                              f"{abs(lam):.3g} > {LAMBDA_ROOT_TOL:g}")
 
-    perron = spectral_radius(tilt(spec, kappa).M)
+    perron = spectral_radius(tilt(spec, kappa))
     f_kappa = perron.eigenvector / (
-        perron.eigenvector[regen_state] * spec.rho[regen_state] ** kappa
+        perron.eigenvector[REGEN_STATE] * spec.rho[REGEN_STATE] ** kappa
     )
-    theta_radius, margin = sub_stochastic_radius(spec, coin, kappa, regen_state)
+    theta_radius, margin = sub_stochastic_radius(spec, REGEN_COIN, kappa)
 
     return SpectralReport(
         kappa=kappa,
@@ -222,8 +211,6 @@ def solve_kappa(
         lambdas=lams,
         radii=np.exp(lams),
         f_kappa=f_kappa,
-        regen_state=regen_state,
-        coin=coin,
         theta_kappa_radius=theta_radius,
         theta_margin=margin,
         residual=perron.residual,

@@ -54,7 +54,7 @@ def solve_crossing_profile(spec: EnvironmentSpec) -> np.ndarray:
         raise NumericalError(
             f"speed is zero; crossing-time profile is unbounded (Lambda(1) = {lam1:.6g} >= 0)"
         )
-    A = np.eye(spec.n_states) - spec.H * spec.rho[None, :]
+    A = np.eye(spec.n_states) - spectral.tilt(spec, 1.0)
     b = 1.0 + 1.0 / spec.rho
     xi = np.linalg.solve(A, b)
     xi = xi + np.linalg.solve(A, b - A @ xi)

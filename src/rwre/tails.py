@@ -15,6 +15,7 @@ import numpy as np
 
 from .envmodel import EnvironmentSpec, chain_move, closed_cumsum
 from .errors import ModelError, NumericalError
+from .spectral import tilt
 
 __all__ = [
     "HillEstimate",
@@ -32,6 +33,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 MAX_TERMS = 10**6
+HILL_FRACTIONS = (0.05, 0.02, 0.01, 0.005)  # top fractions of the tail report
 _CHUNK = 1 << 16
 
 
@@ -231,7 +233,7 @@ def tilted_tail_sampler(
         h = np.asarray(f_kappa, dtype=float)
         if np.any(h <= 0):
             raise ModelError("twist eigenvector must be strictly positive")
-        tilted = spec.H * rho[None, :] ** kappa * h[None, :] / h[:, None]
+        tilted = tilt(spec, kappa) * h[None, :] / h[:, None]
         tilted /= tilted.sum(axis=1, keepdims=True)
     cum_tilt = closed_cumsum(tilted)
     # exact per-transition log likelihood ratio of original vs sampling kernel
@@ -305,24 +307,17 @@ class TailReport:
     """CLI-facing aggregation of the tail diagnostics."""
 
     n_samples: int
-    tol: float
     hill: dict[float, HillEstimate]
     loglog_index: float
     curve: TailCurve
 
 
-def tail_report(
-    spec: EnvironmentSpec,
-    kappa: float,
-    samples: np.ndarray,
-    tol: float,
-    fractions: tuple[float, ...] = (0.05, 0.02, 0.01, 0.005),
-) -> TailReport:
-    hills = {f: hill_estimator(samples, f) for f in fractions}
+def tail_report(kappa: float, samples: np.ndarray) -> TailReport:
+    """Hill estimates over each of ``HILL_FRACTIONS``, the log-log slope
+    index and the tail curve of ``samples``."""
     return TailReport(
         n_samples=len(samples),
-        tol=tol,
-        hill=hills,
+        hill={f: hill_estimator(samples, f) for f in HILL_FRACTIONS},
         loglog_index=loglog_slope(samples),
         curve=tail_curve(samples, kappa),
     )

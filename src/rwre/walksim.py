@@ -1,15 +1,18 @@
 """Quenched walk simulation and hitting-time extraction.
 
-Two engines produce hitting-time samples:
+Hitting times come two ways:
 
-* ``steps`` — the reference path: one uniform per step against the site
-  probability, full per-site bookkeeping, per-replica derived streams.
-* ``blocks`` — an exact fast path: the per-site left-move counts of a
-  right-transient walk form a downward chain of negative-binomial draws
-  (one crossing is forced through every edge between the origin and the
-  target), so the hitting time is reconstructed from one draw per site
-  instead of one per step.  It is distributionally identical to the
-  reference path and is validated against it in the test suite.
+* ``reference_walks`` — the reference path and the oracle: one uniform per
+  step against the site probability, full per-site bookkeeping,
+  per-replica derived streams.  ``simulate-walk`` and every per-path
+  record use it.
+* ``annealed_hitting_sample`` — the sampling API: the per-site left-move
+  counts of a right-transient walk form a downward chain of
+  negative-binomial draws (one crossing is forced through every edge
+  between the origin and the target), so the hitting time is
+  reconstructed from one draw per site instead of one per step.  It is
+  distributionally identical to the reference path and is validated
+  against it in the test suite.
 
 Environment windows are two-sided and extend themselves on demand when
 they were generated from a model; fixed windows raise instead.
@@ -43,6 +46,7 @@ __all__ = [
     "sample_environment",
     "run_to_hit",
     "reference_walks",
+    "forced_crossings",
     "annealed_hitting_sample",
     "annealed_position_sample",
 ]
@@ -277,11 +281,10 @@ def run_to_hit(
 
 @dataclass(frozen=True)
 class HittingSample:
-    """Annealed hitting-time sample; censored entries carry partial values."""
+    """Annealed hitting-time sample; an entry above the step cap is censored."""
 
     n: int
     values: np.ndarray
-    steps: np.ndarray
     censored: np.ndarray
 
     @property
@@ -489,15 +492,6 @@ class _Lockstep:
             t += stop
 
 
-def _hitting_steps(spec, n, replicas, seed, step_cap) -> HittingSample:
-    # a walk stops on the step that hits n, so steps is the hitting time
-    steps, censored = zip(*((rec.steps, rec.censored)
-                            for rec in reference_walks(spec, n, replicas, seed, step_cap)))
-    steps = np.array(steps, dtype=np.int64)
-    return HittingSample(n=n, values=steps.astype(float), steps=steps,
-                         censored=np.array(censored, dtype=bool))
-
-
 def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:
     """Negative-binomial left-move counts, checked before the draw.
 
@@ -507,27 +501,55 @@ def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.nda
     ``NumericalError``.  The check consumes no draws.
     """
     if np.max(size, initial=0) * max_odds > _EXPLOSION_LIMIT:
-        raise NumericalError("left-move count explosion in block engine")
+        raise NumericalError("left-move count explosion")
     return rng.negative_binomial(size, p)
 
 
-def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
-    rng = derive_rng(seed, 0)
-    cum_fwd = spec.chain.cum_fwd
-    omega = spec.omega
-    max_odds = float(spec.rho.max())
+def forced_crossings(
+    spec: EnvironmentSpec, sites: int, replicas: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-move counts of ``replicas`` walks that each cross ``sites``
+    sites to the right, read downward from a stationary state.
 
-    u = rng.random(replicas)
-    states = np.searchsorted(spec.chain.cum_pi, u, side="right")
+    A site's count is negative-binomial with size (count above + 1), then
+    the chain moves one site down.  Returns the last site's counts, each
+    replica's total and the states below the last site.  Read as one
+    generation per site, this is the branching process with immigration.
+    """
+    max_odds = float(spec.rho.max())
+    states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
     counts = np.zeros(replicas, dtype=np.int64)
     total = np.zeros(replicas, dtype=np.int64)
-
-    # Sites n-1 down to 0: one forced crossing each, so the left-move count
-    # at a site is negative-binomial with size (count above + 1).
-    for _ in range(n):
-        counts = _left_moves(rng, counts + 1, omega[states], max_odds)
+    for _ in range(sites):
+        counts = _left_moves(rng, counts + 1, spec.omega[states], max_odds)
         total += counts
-        states = chain_move(cum_fwd, states, rng.random(replicas))
+        states = chain_move(spec.chain.cum_fwd, states, rng.random(replicas))
+    return counts, total, states
+
+
+def annealed_hitting_sample(
+    spec: EnvironmentSpec,
+    n: int,
+    replicas: int,
+    seed: int,
+    step_cap: int | None = DEFAULT_STEP_CAP,
+) -> HittingSample:
+    """Independent environment + walk per replica, reduced to hitting times.
+
+    A hitting time is ``n + 2 * (total left moves)``: the forced crossings
+    of sites ``n - 1`` down to 0 (:func:`forced_crossings`), then below the
+    origin until a lane's count is zero.  One draw per site, the hitting
+    time of :func:`reference_walks` in law, every draw from
+    ``derive_rng(seed, 0)`` in a fixed order.  Values above ``step_cap``
+    are censored.
+    """
+    if n < 1:
+        raise ModelError(f"target site must be >= 1, got {n}")
+    if replicas < 0:
+        raise ModelError("replicas must be nonnegative")
+    rng = derive_rng(seed, 0)
+    counts, total, states = forced_crossings(spec, n, replicas, rng)
+    max_odds = float(spec.rho.max())
 
     # Sites below the origin: no forced crossing; lanes retire at zero count.
     active = np.flatnonzero(counts > 0)
@@ -538,54 +560,16 @@ def _hitting_blocks(spec, n, replicas, seed, step_cap) -> HittingSample:
         depth += 1
         if depth > 100_000:
             raise NumericalError("walk excursion below origin did not terminate")
-        counts = _left_moves(rng, counts, omega[states], max_odds)
+        counts = _left_moves(rng, counts, spec.omega[states], max_odds)
         total[active] += counts
         keep = counts > 0
         active = active[keep]
         counts = counts[keep]
-        states = chain_move(cum_fwd, states[keep], rng.random(active.size))
+        states = chain_move(spec.chain.cum_fwd, states[keep], rng.random(active.size))
 
     values = n + 2.0 * total
-    if step_cap is None:
-        censored = np.zeros(replicas, dtype=bool)
-        steps = values.astype(np.int64)
-    else:
-        censored = values > step_cap
-        steps = np.minimum(values, step_cap).astype(np.int64)
-    return HittingSample(n=n, values=values, steps=steps, censored=censored)
-
-
-def annealed_hitting_sample(
-    spec: EnvironmentSpec,
-    n: int,
-    replicas: int,
-    seed: int,
-    step_cap: int | None = DEFAULT_STEP_CAP,
-    method: str = "blocks",
-) -> HittingSample:
-    """Independent environment + walk per replica, reduced to hitting times.
-
-    ``method="steps"`` runs the reference walker with one derived stream
-    pair per replica; ``method="blocks"`` runs the exact site-recursion
-    engine on a single derived stream with a fixed vectorized draw order.
-    Either way the output is a pure function of ``(spec, n, seed)``.
-    """
-    if replicas < 0:
-        raise ModelError("replicas must be nonnegative")
-    if replicas == 0:
-        empty = np.empty(0)
-        return HittingSample(
-            n=n,
-            values=empty,
-            steps=empty.astype(np.int64),
-            censored=empty.astype(bool),
-        )
-    if method == "steps":
-        cap = DEFAULT_STEP_CAP if step_cap is None else step_cap
-        return _hitting_steps(spec, n, replicas, seed, cap)
-    if method == "blocks":
-        return _hitting_blocks(spec, n, replicas, seed, step_cap)
-    raise ModelError(f"unknown hitting-sample method {method!r}")
+    censored = np.zeros(replicas, dtype=bool) if step_cap is None else values > step_cap
+    return HittingSample(n=n, values=values, censored=censored)
 
 
 def annealed_position_sample(

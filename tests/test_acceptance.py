@@ -81,8 +81,9 @@ def test_criterion_04_speed_consistency_triangle():
     series = tails.sample_perpetuity(spec, 1_000_000, derive_rng(104, 0))
     chk = speed.cross_check(rep, series)
 
-    hits = walksim.annealed_hitting_sample(spec, 10_000, 500, seed=104, method="steps")
-    ratios = hits.values / 10_000.0
+    # reference walks: a walk stops on the step that hits n, so steps is T_n
+    hits = [rec.steps for rec in walksim.reference_walks(spec, 10_000, 500, seed=104)]
+    ratios = np.array(hits) / 10_000.0
     se_t = ratios.std(ddof=1) / math.sqrt(ratios.size)
     z_tv = abs(ratios.mean() - rep.inverse_speed) / se_t
     z_tr = abs(ratios.mean() - chk.series_estimate) / math.hypot(se_t, chk.std_error)
@@ -165,7 +166,7 @@ def test_criterion_08_regeneration_structure():
         spec = make()
         rng = derive_rng(seed, 0)
         path = branching.sample_branching(spec, horizon, rng)
-        trace = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+        trace = branching.regen_trace(path, rng)
         gaps = np.diff(trace.joint)
         W = trace.joint_blocks[1:].astype(float)
 

@@ -180,7 +180,7 @@ def test_regen_trace_block_partition():
     spec = chains.chain_mk_k2()
     rng = derive_rng(10, 0)
     path = branching.sample_branching(spec, 50_000, rng)
-    tr = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+    tr = branching.regen_trace(path, rng)
     assert np.all(path.populations[tr.extinctions] == 0)
     assert set(tr.joint[1:]).issubset(set(tr.extinctions[1:]) & set(tr.chain_regens[1:]))
     last = tr.joint[-1]
@@ -191,7 +191,7 @@ def test_one_dependence_and_stationarity_proxies():
     spec = chains.chain_mk_k2()
     rng = derive_rng(11, 0)
     path = branching.sample_branching(spec, 400_000, rng)
-    tr = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+    tr = branching.regen_trace(path, rng)
     W = tr.joint_blocks[1:].astype(float)
     B = len(W)
     assert B > 10_000
@@ -210,7 +210,7 @@ def test_joint_gap_lln_stabilizes():
     spec = chains.chain_mk_k2()
     rng = derive_rng(12, 0)
     path = branching.sample_branching(spec, 80_000, rng)
-    tr = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+    tr = branching.regen_trace(path, rng)
     gaps = np.diff(tr.joint)[:10_000]
     assert gaps.size == 10_000
     half_mean = gaps[: gaps.size // 2].mean()
@@ -222,7 +222,7 @@ def test_joint_gap_clt_shape():
     spec = chains.chain_mk_k1()
     rng = derive_rng(13, 0)
     path = branching.sample_branching(spec, 120_000, rng)
-    tr = branching.regen_trace(path, regen_state=0, coin=0.5, rng=rng)
+    tr = branching.regen_trace(path, rng)
     gaps = np.diff(tr.joint).astype(float)
     g = 100
     batches = gaps[: (gaps.size // g) * g].reshape(-1, g).sum(axis=1)

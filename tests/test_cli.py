@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,18 @@ def test_kappa_and_speed_when_regeneration_margin_below_resolution(tmp_path, cap
         with pytest.warns(RuntimeWarning, match="coin too weak"):
             assert run_cli(command, "--config", cycle) == 0
         assert "kappa = 39.300476201" in capsys.readouterr().out
+
+
+def test_every_flag_is_read():
+    # --threads is accepted for old scripts and ignored (see the README)
+    unread = {"help", "threads"}
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    missing = [(name, action.option_strings[0])
+               for name, parser in sub.choices.items()
+               for action in parser._actions
+               if action.dest not in unread
+               and f"args.{action.dest}" not in inspect.getsource(cli._COMMANDS[name])]
+    assert missing == []
 
 
 def test_unknown_flag_exits_64():
@@ -250,6 +263,20 @@ def test_limit_check_x_side_passes_step_cap(monkeypatch, capsys):
                    "--seed", 6, "--side", "X", "--step-cap", 10**7) == 0
     assert caps == [10**7]
     assert "X-side regime (0,1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, n, replicas", [
+    (NONARITH_K2, 1, 1000),  # sqrt(n log n) = 0: the fit saw NaN
+    (str(MODELS / "chain-mk-k1.toml"), 1, 1000),  # n / log(n)**2 divided by zero
+    (SUB1, 10, 0),
+    (SUB1, 0, 1000),
+    (SUB1, -3, 1000),
+])
+def test_limit_check_rejects_small_runs(config, n, replicas, capsys):
+    assert run_cli("limit-check", "--config", config, "--n", n, "--replicas", replicas,
+                   "--side", "both") == cli.EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: limit check needs") and "Traceback" not in err
 
 
 def test_log_env_var_does_not_change_outputs(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def test_rho_derived_from_omega():
     spec = chains.chain_mk_k1()
     assert np.allclose(spec.rho, [0.5, 2.0], rtol=0, atol=1e-15)
-    assert spec.c_rho == pytest.approx(0.95 / 0.05)
 
 
 def test_stationary_k2_closed_form():

@@ -352,3 +352,26 @@ def test_limit_check_warns_on_arithmetic_model():
 def test_child_seed_streams_are_distinct():
     assert limitlaws.child_seed(1, 1) != limitlaws.child_seed(1, 2)
     assert limitlaws.child_seed(1, 1) == limitlaws.child_seed(1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:model is arithmetic")
+def test_limit_check_X_index_one_solves_no_speed(monkeypatch):
+    # the index-one schedules never read the speed
+    from rwre import speed
+    calls = []
+    solve = speed.compute_speed
+    monkeypatch.setattr(speed, "compute_speed", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    rep = limitlaws.limit_check_X(chains.chain_mk_k1(), 200, 1000, seed=3, v=None)
+    assert rep.regime == "{1}" and rep.side == "X"
+    assert calls == []
+
+
+@pytest.mark.parametrize("check", [limitlaws.limit_check_T, limitlaws.limit_check_X])
+@pytest.mark.parametrize("n, replicas, message", [
+    (1, 1000, "needs n >= 2, got 1"),
+    (0, 1000, "needs n >= 2, got 0"),
+    (10, 999, "needs at least 1000 replicas, got 999"),
+])
+def test_limit_checks_reject_small_runs(check, n, replicas, message):
+    with pytest.raises(ModelError, match=message):
+        check(chains.nonarith_k2(), n, replicas, seed=1)

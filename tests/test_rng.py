@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwre._rng import derive_rng, derive_rngs, master_rng
+from rwre._rng import derive_rng, derive_rngs
 from rwre.errors import ModelError
 
 WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
@@ -42,7 +42,6 @@ def test_derive_rngs_empty_batch_and_empty_keys():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: master_rng(-1),
     lambda: derive_rng(-1, 0),
     lambda: derive_rng(3, 0, -2),
     lambda: derive_rngs(-1, [[0, 0]]),

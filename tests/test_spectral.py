@@ -23,23 +23,23 @@ ALL_CHAINS = [
 
 def test_tilt_zero_is_identity_on_H():
     spec = chains.chain_mk_k1()
-    assert np.array_equal(spec.H, spectral.tilt(spec, 0.0).M)
+    assert np.array_equal(spec.H, spectral.tilt(spec, 0.0))
 
 
 def test_tilt_k1_beta_one_worked_example():
     spec = chains.chain_mk_k1()
-    M = spectral.tilt(spec, 1.0).M
+    M = spectral.tilt(spec, 1.0)
     assert np.max(np.abs(M - np.array([[0.4, 0.4], [0.3, 0.8]]))) < 1e-15
 
 
 def test_tilt_single_state_power():
     spec = chains.single_state(0.7)
-    assert spectral.tilt(spec, 3.0).M[0, 0] == pytest.approx(0.7**3, rel=1e-14)
+    assert spectral.tilt(spec, 3.0)[0, 0] == pytest.approx(0.7**3, rel=1e-14)
 
 
 def test_tilt_preserves_adjacency():
     spec = chains.chain_mk_k2()
-    M = spectral.tilt(spec, 2.5).M
+    M = spectral.tilt(spec, 2.5)
     assert np.array_equal(M > 0, spec.H > 0)
 
 
@@ -102,9 +102,9 @@ def test_solve_kappa_exact_roots():
 def test_solve_kappa_report_normalization_and_residual():
     spec = chains.chain_mk_k2()
     rep = spectral.solve_kappa(spec)
-    assert rep.f_kappa[rep.regen_state] * spec.rho[rep.regen_state] ** rep.kappa == \
-        pytest.approx(1.0, abs=1e-12)
-    tilted = spectral.tilt(spec, rep.kappa).M
+    x = spectral.REGEN_STATE
+    assert rep.f_kappa[x] * spec.rho[x] ** rep.kappa == pytest.approx(1.0, abs=1e-12)
+    tilted = spectral.tilt(spec, rep.kappa)
     assert np.max(np.abs(tilted @ rep.f_kappa - rep.f_kappa)) < 1e-10
     assert np.all(rep.f_kappa > 0)
     assert rep.theta_kappa_radius < 1.0
@@ -113,12 +113,13 @@ def test_solve_kappa_report_normalization_and_residual():
 def test_f_kappa_equals_block_expectation_solve():
     # Independent route: f = coin * (I - Theta_kappa)^{-1} s with s(x) = H(x, x*).
     spec = chains.chain_mk_k1()
-    rep = spectral.solve_kappa(spec, regen_state=0, coin=0.5)
+    assert (spectral.REGEN_STATE, spectral.REGEN_COIN) == (0, 0.5)
+    rep = spectral.solve_kappa(spec)
     theta = spec.H.copy()
-    theta[:, 0] *= 1.0 - rep.coin
+    theta[:, 0] *= 1.0 - 0.5
     theta_k = theta * spec.rho[None, :] ** rep.kappa
     s = spec.H[:, 0]
-    f_alt = rep.coin * np.linalg.solve(np.eye(2) - theta_k, s)
+    f_alt = 0.5 * np.linalg.solve(np.eye(2) - theta_k, s)
     assert np.max(np.abs(f_alt - rep.f_kappa)) < 1e-9
 
 
@@ -156,7 +157,7 @@ def test_solve_kappa_light_tails():
 
 def test_sub_stochastic_radius_k1_frozen():
     spec = chains.chain_mk_k1()
-    radius, margin = spectral.sub_stochastic_radius(spec, 0.5, 1.0, regen_state=0)
+    radius, margin = spectral.sub_stochastic_radius(spec, 0.5, 1.0)
     expected = (1.0 + math.sqrt(0.6)) / 2.0  # radius of [[0.2,0.4],[0.15,0.8]]
     assert radius == pytest.approx(expected, abs=1e-10)
     assert margin == pytest.approx(1 - expected, abs=1e-10)
@@ -164,7 +165,7 @@ def test_sub_stochastic_radius_k1_frozen():
 
 def test_sub_stochastic_radius_full_coin_single_state():
     spec = chains.single_state(0.5)
-    radius, _ = spectral.sub_stochastic_radius(spec, 1.0, 1.0, regen_state=0)
+    radius, _ = spectral.sub_stochastic_radius(spec, 1.0, 1.0)
     assert radius == pytest.approx(0.0, abs=1e-15)
 
 
@@ -176,7 +177,7 @@ def test_sub_stochastic_radius_rejects_zero_coin():
 def test_sub_stochastic_radius_weak_coin_warns():
     spec = chains.chain_mk_k1()
     with pytest.warns(RuntimeWarning, match="too weak"):
-        spectral.sub_stochastic_radius(spec, 1e-12, 1.0, regen_state=0)
+        spectral.sub_stochastic_radius(spec, 1e-12, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,4 +323,4 @@ def test_solve_kappa_below_probe_grid():
     assert kappa == pytest.approx(0.0012873682684796, rel=1e-12)
     rep = envmodel.validate(spec)
     assert rep.a3_negative_beta < kappa <= rep.a3_nonnegative_beta
-    assert rep.ok
+    assert rep.irreducible and rep.drift < 0 and not rep.arithmetic_span.arithmetic

@@ -192,7 +192,7 @@ def test_tail_report_fields():
     spec = chains.chain_mk_k2()
     rep = spectral.solve_kappa(spec)
     samples = tails.sample_perpetuity(spec, 50_000, derive_rng(12, 0))
-    report = tails.tail_report(spec, rep.kappa, samples, tails.DEFAULT_TOL)
+    report = tails.tail_report(rep.kappa, samples)
     assert report.n_samples == 50_000
     assert set(report.hill) == {0.05, 0.02, 0.01, 0.005}
     assert report.loglog_index > 0

@@ -230,9 +230,10 @@ def test_window_auto_extension_on_model_environment():
 
 def test_fast_engine_matches_reference_in_distribution():
     for spec in (chains.chain_mk_k2(), chains.iid_k2()):
-        ref = walksim.annealed_hitting_sample(spec, 100, 2500, seed=7, method="steps")
-        fast = walksim.annealed_hitting_sample(spec, 100, 2500, seed=8, method="blocks")
-        res = stats.ks_2samp(ref.values, fast.values)
+        # a reference walk stops on the step that hits n: steps is the hitting time
+        ref = [rec.steps for rec in walksim.reference_walks(spec, 100, 2500, seed=7)]
+        fast = walksim.annealed_hitting_sample(spec, 100, 2500, seed=8)
+        res = stats.ks_2samp(ref, fast.values)
         assert res.pvalue > 0.01, res
 
 
@@ -268,11 +269,6 @@ def test_annealed_blocks_deterministic():
     a = walksim.annealed_hitting_sample(chains.chain_mk_k2(), 50, 64, seed=11)
     b = walksim.annealed_hitting_sample(chains.chain_mk_k2(), 50, 64, seed=11)
     assert np.array_equal(a.values, b.values)
-
-
-def test_annealed_unknown_method_rejected():
-    with pytest.raises(ModelError):
-        walksim.annealed_hitting_sample(chains.iid_k2(), 10, 1, seed=0, method="bogus")
 
 
 def test_position_sampler_deterministic_and_bounded():
@@ -354,6 +350,8 @@ def test_reference_walks_batching_does_not_move_draws(monkeypatch, offset):
 def test_reference_walks_rejects_bad_counts(n, replicas, message):
     with pytest.raises(ModelError, match=message):
         list(walksim.reference_walks(chains.chain_mk_k2(), n, replicas, seed=1))
+    with pytest.raises(ModelError, match=message):  # the sampler checks them alike
+        walksim.annealed_hitting_sample(chains.chain_mk_k2(), n, replicas, seed=1)
 
 
 def test_lockstep_hands_lanes_to_scalar_loop_past_memory_budget(monkeypatch):
