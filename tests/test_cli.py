@@ -239,6 +239,19 @@ def test_limit_check_summary_rows(tmp_path, capsys):
     assert lines[-1].startswith("# config_hash=")
 
 
+@pytest.mark.filterwarnings("ignore:model is arithmetic")
+@pytest.mark.parametrize("model, seed, digest", [
+    ("nonarith-sub1", 3, "9fa9e3fd82453bd64ebe2edffcd6e364f3e25e0ddeb3810006e597a4c79bf2f7"),
+    # index one: fit_b runs on both sides
+    ("chain-mk-k1", 7, "ca4bace21187d7286ea22c9dcb7a1226aca008a8bd340c7fa5ecc16f82f00908"),
+])
+def test_limit_check_csv_golden(model, seed, digest, tmp_path):
+    out = tmp_path / "limit.csv"
+    assert run_cli("limit-check", "--config", MODELS / f"{model}.toml", "--n", 1000,
+                   "--replicas", 1000, "--side", "both", "--seed", seed, "--out", out) == 0
+    assert _sha256(out) == digest
+
+
 def test_limit_check_boundary_index_reports_shift(tmp_path, capsys):
     out = tmp_path / "limit.csv"
     assert run_cli("limit-check", "--config", NONARITH_K2, "--n", 300, "--replicas",
