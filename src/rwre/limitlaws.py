@@ -8,8 +8,10 @@ and ``f_1(t) = (2/pi) log t``: Nolan's S1 law with ``beta = 1`` and scale
 zero mean.  The distribution function is evaluated for a whole vector of
 points at once from Nolan's non-oscillatory integral (J. P. Nolan, 1997,
 Numerical calculation of stable densities and distribution functions,
-Stoch. Models 13(4)) on a fixed tanh-sinh rule, so every scale candidate
-of a fit is scored exactly at every sample.
+Stoch. Models 13(4)) on a fixed tanh-sinh rule.  A scale fit scores its
+candidates on one table of the unit-scale law with a measured error bound
+and re-scores exactly only the comparisons that bound cannot settle, so it
+returns the scale the exact search would.
 
 At the boundary index the centering ``n / v`` is the exact mean of the
 hitting time at every ``n``, but the heavy right tail that keeps the mean
@@ -23,6 +25,7 @@ centering is checked as is.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -69,6 +72,12 @@ KS_X_THRESHOLD = 0.07
 REGIME_TOL = 1e-6
 MIN_FIT_SAMPLES = 1000
 FIT_POINTS = 2000
+# fit_b's table of the unit-scale CDF: nodes uniform in log|u|, 4-point cubic
+TABLE_STEP = 0.01
+# slack on a score comparison for rounding in u and in the sums
+SCORE_ROUNDING = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -233,12 +242,23 @@ def _fit_input(samples: np.ndarray, kappa: float):
     return x, q25, q75, (q75 - q25) / ref_iqr
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-3) -> float:
+def _golden_min(f, lo: float, hi: float, tol: float = 1e-3, exact=None,
+                slack: float = 0.0) -> float:
     """Minimizer of ``f`` on [lo, hi]: a coarse scan picks the basin, golden
-    section refines inside it to width ``tol``."""
+    section refines inside it to width ``tol``.
+
+    With ``exact``, ``f`` is an estimate within ``slack / 2`` of it: the
+    search takes every decision the estimates do not settle by more than
+    ``slack`` on ``exact`` instead, and so returns the point that the same
+    search over ``exact`` returns.
+    """
     coarse = np.linspace(lo, hi, 17)
-    ks_coarse = [f(v) for v in coarse]
+    ks_coarse = np.array([f(v) for v in coarse])
     j = int(np.argmin(ks_coarse))
+    if exact is not None:
+        near = np.flatnonzero(ks_coarse <= ks_coarse[j] + slack)
+        if near.size > 1:
+            j = int(near[np.argmin([exact(v) for v in coarse[near]])])
     a = coarse[max(j - 1, 0)]
     d = coarse[min(j + 1, len(coarse) - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -246,7 +266,11 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-3) -> float:
     q = a + inv_phi * (d - a)
     fp, fq = f(p), f(q)
     while d - a > tol:
-        if fp <= fq:
+        if exact is not None and abs(fp - fq) <= slack:
+            left = exact(p) <= exact(q)
+        else:
+            left = fp <= fq
+        if left:
             d, q, fq = q, p, fp
             p = d - inv_phi * (d - a)
             fp = f(p)
@@ -257,21 +281,106 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-3) -> float:
     return 0.5 * (a + d)
 
 
+def _unit_args(kappa: float, log_s: float, x: np.ndarray) -> np.ndarray:
+    """``u`` with ``F_b(x) = H(u)``, ``H`` the unit-scale law and
+    ``b = s**kappa``: ``x / s``, and ``(x - (2/pi) b log b) / b`` at index one."""
+    s = math.exp(log_s)
+    if kappa == 1.0:
+        return (x - 2.0 / math.pi * s * log_s) / s
+    return x / s
+
+
+class _UnitTable:
+    """The unit-scale CDF ``H`` of one index at ``u = +-exp(k h)``, one row
+    of consecutive ``k`` per sign spanning the given ``u`` of that sign, read
+    by 4-point cubic interpolation in ``log|u|``.
+
+    ``eps`` is the table's error bound: the same rule on every other node,
+    read at the dropped nodes, as :func:`_split_integral` estimates its own
+    error.  That halved table is about 16 times less accurate than the one
+    read.  ``read`` leaves NaN where a point has no four nodes around it:
+    ``u`` zero or not finite, or outside the nodes of its sign.
+    """
+
+    def __init__(self, kappa: float, u: np.ndarray):
+        h = self.h = TABLE_STEP
+        self.rows = {}
+        self.eps = 0.0
+        ref = StableParams(kappa, 1.0)
+        for sign in (1.0, -1.0):
+            t = np.log(u[np.isfinite(u) & (np.sign(u) == sign)] * sign)
+            if t.size == 0:
+                continue
+            k0 = math.floor(t.min() / h) - 3  # every row has >= 7 nodes, one eps reading
+            nodes = np.arange(k0, math.ceil(t.max() / h) + 4)
+            H = stable_cdf(ref, sign * np.exp(h * nodes))
+            even = H[::2]
+            halved = (9.0 * (even[1:-2] + even[2:-1]) - even[:-3] - even[3:]) / 16.0
+            self.eps = max(self.eps, float(np.max(np.abs(halved - H[3:2 * even.size - 3:2]),
+                                                  initial=0.0)))
+            self.rows[sign] = (k0, H)
+
+    @property
+    def nodes(self) -> int:
+        return sum(H.size for _, H in self.rows.values())
+
+    def read(self, u: np.ndarray) -> np.ndarray:
+        F = np.full(u.size, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(np.abs(u)) / self.h
+        for sign, (k0, H) in self.rows.items():
+            p = t - k0
+            k = np.floor(p)
+            on = (np.sign(u) == sign) & (k >= 1.0) & (k <= H.size - 3)
+            f = p[on] - k[on]
+            k = k[on].astype(np.intp)
+            F[on] = ((f + 1.0) * f * ((f - 1.0) * H[k + 2] - (f - 2.0) * 3.0 * H[k + 1]) / 6.0
+                     + (f - 1.0) * (f - 2.0) * ((f + 1.0) * 3.0 * H[k] - f * H[k - 1]) / 6.0)
+        return F
+
+
 def fit_b(samples: np.ndarray, kappa: float) -> FitResult:
     """Scale fit by KS-distance minimization over a golden-section search.
 
-    The search runs over ``log s``, ``s = b**(1/kappa)``, scoring each
-    candidate exactly at every ``n // FIT_POINTS``-th order statistic (all
-    of them below ``2 FIT_POINTS`` samples); the KS reported uses them all.
+    The search runs over ``log s``, ``s = b**(1/kappa)``, in
+    ``[s0 / 32, 32 s0]`` around the quartile-matched guess ``s0``, and
+    scores each candidate at every ``n // FIT_POINTS``-th order statistic
+    (all of them below ``2 FIT_POINTS`` samples).  Every candidate's law is
+    the unit-scale law ``H`` at shifted points (:func:`_unit_args`), so the
+    scores are read from one :class:`_UnitTable` of ``H`` spanning the
+    points at both ends of the range; points off the table take
+    :func:`stable_cdf`'s values.  Two table scores within twice the table's
+    error bound are compared on exact scores instead, so the search returns
+    the same ``log s`` as on exact scores throughout.  ``b``, the KS (over
+    all samples) and ``cdf_at_samples`` are evaluated exactly at it.
     """
     x, _, _, s0 = _fit_input(samples, kappa)
     thin = x[:: max(1, x.size // FIT_POINTS)]
+    lo, hi = math.log(s0 / 32.0), math.log(s0 * 32.0)
 
     def cdf(log_s: float, at: np.ndarray) -> np.ndarray:
         return stable_cdf(StableParams(kappa, math.exp(log_s) ** kappa), at)
 
-    log_s = _golden_min(lambda v: _ks_distance(thin, cdf(v, thin)),
-                        math.log(s0 / 32.0), math.log(s0 * 32.0))
+    table = _UnitTable(kappa, np.concatenate([_unit_args(kappa, v, thin) for v in (lo, hi)]))
+
+    def estimate(log_s: float) -> float:
+        F = table.read(_unit_args(kappa, log_s, thin))
+        off = np.isnan(F)
+        if off.any():
+            F[off] = cdf(log_s, thin[off])
+        return _ks_distance(thin, F)
+
+    rescored = {}
+
+    def exact_score(log_s: float) -> float:
+        if log_s not in rescored:
+            rescored[log_s] = _ks_distance(thin, cdf(log_s, thin))
+        return rescored[log_s]
+
+    log_s = _golden_min(estimate, lo, hi, exact=exact_score,
+                        slack=2.0 * table.eps + SCORE_ROUNDING)
+    log.debug("fit_b: %d table nodes, eps %.3g, %d exact re-scores",
+              table.nodes, table.eps, len(rescored))
     exact = cdf(log_s, x)
     return FitResult(b=math.exp(log_s) ** kappa, ks=_ks_distance(x, exact),
                      cdf_at_samples=exact)

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from scipy.special import erfc, ndtr
 from scipy.stats import levy_stable
 
 import chains
-from rwre import limitlaws
+from rwre import limitlaws, spectral, walksim
 from rwre._rng import derive_rng
 from rwre.errors import ModelError, NumericalError
 from rwre.limitlaws import StableParams, fit_b, fit_shift_b, normalization, stable_cdf
@@ -236,6 +239,130 @@ def test_fit_index_one_direct_path():
     fit = fit_b(x, 1.0)
     assert abs(fit.b / b0 - 1.0) < 0.25
     assert fit.ks < 0.05
+
+
+def _exact_fit_b(samples, kappa):
+    """The scale fit with every candidate scored exactly: the reference
+    that fit_b's table scores must reproduce bit for bit."""
+    x, _, _, s0 = limitlaws._fit_input(samples, kappa)
+    thin = x[:: max(1, x.size // limitlaws.FIT_POINTS)]
+
+    def cdf(log_s, at):
+        return stable_cdf(StableParams(kappa, math.exp(log_s) ** kappa), at)
+
+    def f(log_s):
+        return limitlaws._ks_distance(thin, cdf(log_s, thin))
+
+    coarse = np.linspace(math.log(s0 / 32.0), math.log(s0 * 32.0), 17)
+    j = int(np.argmin([f(v) for v in coarse]))
+    a, d = coarse[max(j - 1, 0)], coarse[min(j + 1, len(coarse) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    p, q = d - inv_phi * (d - a), a + inv_phi * (d - a)
+    fp, fq = f(p), f(q)
+    while d - a > 1e-3:
+        if fp <= fq:
+            d, q, fq = q, p, fp
+            p = d - inv_phi * (d - a)
+            fp = f(p)
+        else:
+            a, p, fp = p, q, fq
+            q = a + inv_phi * (d - a)
+            fq = f(q)
+    log_s = 0.5 * (a + d)
+    exact = cdf(log_s, x)
+    return limitlaws.FitResult(b=math.exp(log_s) ** kappa,
+                               ks=limitlaws._ks_distance(x, exact), cdf_at_samples=exact)
+
+
+_SWEEP = (0.3, 0.67, 0.9, 1.0, 1.3, 1.7)
+
+
+@lru_cache(maxsize=None)
+def _fit_case(name):
+    """(samples, kappa, exact fit) for one oracle input."""
+    if name.startswith("levy-"):
+        kappa = float(name.split("-")[1])
+        x = levy_stable.rvs(kappa, 1.0, loc=0.0, scale=1.3, size=2000,
+                            random_state=np.random.default_rng(int(10 * kappa)))
+    elif name == "thinned-1.5":
+        kappa = 1.5
+        x = levy_stable.rvs(kappa, 1.0, loc=0.0, scale=0.8, size=12_000,
+                            random_state=np.random.default_rng(5))
+    else:  # the T side of `limit-check --seed 0` on nonarith-sub1, n = 1000
+        spec = chains.nonarith_sub1()
+        kappa = spectral.solve_kappa(spec).kappa
+        sample = walksim.annealed_hitting_sample(spec, 1000, 2000, limitlaws.child_seed(0, 1))
+        x = np.sort(sample.complete / 1000 ** (1.0 / kappa))
+        if name == "sub1-inf":
+            x[-1] = np.inf
+        else:
+            x[0] = 0.0
+    return x, kappa, _exact_fit_b(x, kappa)
+
+
+def _logged_fit(caplog, x, kappa):
+    """fit_b's result and its debug line: table nodes, eps, exact re-scores."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rwre.limitlaws"):
+        fit = fit_b(x, kappa)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "rwre.limitlaws"]
+    m = re.fullmatch(r"fit_b: (\d+) table nodes, eps (\S+), (\d+) exact re-scores", line)
+    return fit, int(m[1]), float(m[2]), int(m[3])
+
+
+def _assert_same_fit(fit, ref):
+    assert fit.b == ref.b and fit.ks == ref.ks
+    assert np.array_equal(fit.cdf_at_samples, ref.cdf_at_samples)
+
+
+@pytest.mark.parametrize("name", [f"levy-{k}" for k in _SWEEP]
+                         + ["thinned-1.5", "sub1-inf", "sub1-zero"])
+def test_fit_b_matches_exact_search(name, caplog):
+    x, kappa, ref = _fit_case(name)
+    fit, nodes, eps, rescores = _logged_fit(caplog, x, kappa)
+    _assert_same_fit(fit, ref)
+    assert nodes > 0 and eps <= 1e-5
+    if name.startswith("sub1-"):
+        # the +inf or 0.0 point is read off stable_cdf alone, never a whole candidate
+        assert rescores == 0
+        assert fit.b == 1.6966046153547036
+
+
+@pytest.mark.parametrize("name, step", [
+    ("levy-0.9", 0.3), ("levy-1.0", 0.3), ("sub1-inf", 0.3),
+    # here the table's coarse-scan minimum is not the exact one
+    ("levy-0.9", 1.0),
+])
+def test_fit_b_rescores_near_ties_exactly(name, step, monkeypatch, caplog):
+    # a table this coarse leaves many comparisons within twice its error bound
+    monkeypatch.setattr(limitlaws, "TABLE_STEP", step)
+    x, kappa, ref = _fit_case(name)
+    fit, _, eps, rescores = _logged_fit(caplog, x, kappa)
+    assert eps > 1e-3 and rescores >= 10
+    _assert_same_fit(fit, ref)
+
+
+@pytest.mark.parametrize("kappa", _SWEEP)
+def test_unit_table_error_bound(kappa):
+    mags = np.geomspace(1e-6, 1e8, 15)
+    table = limitlaws._UnitTable(kappa, np.concatenate([-mags, mags]))
+    # the bound is for speed: beyond it near-ties only cost exact re-scores
+    assert 0.0 < table.eps <= 1e-5
+    # midway between nodes, where a cubic errs most, the table stays inside it
+    u = np.exp(limitlaws.TABLE_STEP * (np.arange(-1380, 1840, 7) + 0.5))
+    u = np.concatenate([-u, u])
+    assert np.max(np.abs(table.read(u) - stable_cdf(StableParams(kappa, 1.0), u))) <= table.eps
+
+
+def test_fit_b_debug_line_goes_through_rwre_logger(caplog):
+    x = 2.3 / derive_rng(2, 0).normal(0.0, 1.0, 2000) ** 2
+    fit, nodes, eps, rescores = _logged_fit(caplog, x, 0.5)
+    assert caplog.records[0].name.startswith("rwre.")
+    assert nodes > 100 and 0.0 < eps <= 1e-5 and rescores >= 0
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="rwre"):
+        assert fit_b(x, 0.5).b == fit.b
+    assert caplog.records == []
 
 
 def test_fit_shift_gaussian_oracle():
