@@ -239,7 +239,6 @@ def test_limit_check_summary_rows(tmp_path, capsys):
     assert lines[-1].startswith("# config_hash=")
 
 
-@pytest.mark.filterwarnings("ignore:model is arithmetic")
 @pytest.mark.parametrize("model, seed, digest", [
     ("nonarith-sub1", 3, "9fa9e3fd82453bd64ebe2edffcd6e364f3e25e0ddeb3810006e597a4c79bf2f7"),
     # index one: fit_b runs on both sides
