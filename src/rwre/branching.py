@@ -225,9 +225,7 @@ class RegenTrace:
     extinctions: np.ndarray  # successive zeros of the population
     chain_regens: np.ndarray  # coin-at-state times of the chain
     joint: np.ndarray  # common refinement of the two
-    extinction_blocks: np.ndarray  # population totals between extinctions
     joint_blocks: np.ndarray  # population totals between joint times
-    truncated: bool  # horizon cut the path inside a joint block
 
 
 def regen_trace(path: BranchPath, rng: np.random.Generator) -> RegenTrace:
@@ -237,15 +235,12 @@ def regen_trace(path: BranchPath, rng: np.random.Generator) -> RegenTrace:
     N = chain_regenerations(path.states, REGEN_STATE, REGEN_COIN, rng)
     joint = common_regenerations(nu, N)
     cz = np.concatenate([[0], np.cumsum(path.populations)])
-    w_ext = cz[nu[1:]] - cz[nu[:-1]]
     w_joint = cz[joint[1:]] - cz[joint[:-1]]
     return RegenTrace(
         extinctions=nu,
         chain_regens=N,
         joint=joint,
-        extinction_blocks=w_ext,
         joint_blocks=w_joint,
-        truncated=bool(joint[-1] != path.horizon),
     )
 
 

@@ -483,9 +483,7 @@ class LimitCheckReport:
     regime's limit with scale ``b``, translated by ``shift`` (in normalized
     units).  The shift is fitted only at the boundary index, where the bulk
     of the finite-n law sits ``O(1 / log n)`` away from the exact mean
-    centering; it is 0.0 in every other regime.  ``b_refit`` is the
-    position side's round-trip diagnostic: shape parameters refit on the
-    position samples mapped back to the hitting-time scale.
+    centering; it is 0.0 in every other regime.
     """
 
     side: str
@@ -502,7 +500,6 @@ class LimitCheckReport:
     scale: float
     normalized: np.ndarray = field(repr=False)
     fitted_cdf: np.ndarray = field(repr=False)
-    b_refit: float | None = None
     shift: float = 0.0
 
 
@@ -598,8 +595,8 @@ def transfer_T_to_X(
     fluctuation is ``-v**(1 + 1/kappa)`` times the hitting-time one, so the
     scale transfers as ``b * v**(kappa + 1)`` and the boundary-index shift
     as ``-v**(1 + 1/kappa) * shift``.  The position side has no free
-    parameter.  A fresh scale (and, at the boundary index, shift) is also
-    refit on the mapped samples for round-trip diagnostics.
+    parameter except at index one, where the scale is fitted on the
+    position samples.
     """
     kappa = _snap(kappa)
     regime = regime_name(kappa)
@@ -615,7 +612,6 @@ def transfer_T_to_X(
         pos = z > 0
         cdf[pos] = 1.0 - stable_cdf(ref, z[pos] ** (-1.0 / kappa) * b_t ** (-1.0 / kappa))
         b_used = b_t
-        b_refit = None
     elif regime == "{1}":
         center = float(np.median(xs))
         scale = n / math.log(n) ** 2
@@ -623,7 +619,6 @@ def transfer_T_to_X(
         fit = fit_b(z, 1.0)
         cdf = fit.cdf_at_samples
         b_used = fit.b
-        b_refit = fit.b
     else:
         if v is None or v <= 0:
             raise ModelError("ballistic transfer needs a positive speed")
@@ -636,12 +631,9 @@ def transfer_T_to_X(
         ref = StableParams(kappa, 1.0)
         if regime == "(1,2)":
             cdf = 1.0 - stable_cdf(ref, -z * b_used ** (-1.0 / kappa))
-            mapped = -z / v ** (1.0 + 1.0 / kappa)
-            b_refit = fit_b(np.sort(mapped), kappa).b
         else:
             shift = -(v**1.5) * t_report.shift
             cdf = stable_cdf(ref, (z - shift) * b_used ** (-1.0 / kappa))
-            b_refit = fit_shift_b(-z / v**1.5).b
 
     ks = _ks_distance(z, cdf)
     threshold = None if regime == "{1}" else KS_X_THRESHOLD
@@ -660,7 +652,6 @@ def transfer_T_to_X(
         scale=scale,
         normalized=z,
         fitted_cdf=cdf,
-        b_refit=b_refit,
         shift=shift,
     )
 

@@ -56,24 +56,36 @@ def sample_perpetuity(
         raise ModelError(f"truncation tolerance must lie in (0, 1e-6], got {tol}")
     if replicas < 0:
         raise ModelError("replicas must be nonnegative")
-    out = np.empty(replicas)
+    return _series_lanes(spec, spec.chain.cum_fwd, replicas, rng, tol)[0]
+
+
+def _series_lanes(spec, cum_kernel, replicas, rng, tol, threshold=None, log_ratio=None):
+    """Series values of ``replicas`` lanes, run ``_CHUNK`` lanes at a time on
+    one stream, and each lane's summed ``log_ratio`` (None without one).
+
+    A lane starts from ``spec.chain.cum_pi`` and moves by ``cum_kernel``; it
+    retires when its running product drops below ``tol`` or, given a
+    ``threshold``, when its value exceeds it.
+    """
+    values = np.empty(replicas)
+    log_w = None if log_ratio is None else np.empty(replicas)
     done = 0
     while done < replicas:
         m = min(_CHUNK, replicas - done)
-        out[done:done + m] = _perpetuity_chunk(spec, m, rng, tol)
+        _series_chunk(spec, cum_kernel, rng, tol, threshold, log_ratio, values[done:done + m],
+                      None if log_w is None else log_w[done:done + m])
         done += m
-    return out
+    return values, log_w
 
 
-def _perpetuity_chunk(spec, lanes, rng, tol):
-    cum_fwd = spec.chain.cum_fwd
+def _series_chunk(spec, cum_kernel, rng, tol, threshold, log_ratio, out, out_log_w):
     rho = spec.rho
-
+    lanes = out.size
     states = np.searchsorted(spec.chain.cum_pi, rng.random(lanes), side="right")
     prod = np.ones(lanes)
     value = np.ones(lanes)  # compacted with prod and states; a lane leaves it on retiring
+    log_w = None if log_ratio is None else np.zeros(lanes)
     lane = np.arange(lanes)
-    out = np.empty(lanes)
     terms = 0
     while lane.size:
         terms += 1
@@ -84,14 +96,22 @@ def _perpetuity_chunk(spec, lanes, rng, tol):
         prod *= rho.take(states)
         value += prod
         keep = prod >= tol
+        if threshold is not None:
+            keep &= value <= threshold
         if not keep.all():
             gone = np.flatnonzero(~keep)
-            out[lane.take(gone)] = value.take(gone)
+            idx = lane.take(gone)
+            out[idx] = value.take(gone)
             k = np.flatnonzero(keep)
             lane, prod, states, value = lane.take(k), prod.take(k), states.take(k), value.take(k)
+            if log_w is not None:
+                out_log_w[idx] = log_w.take(gone)
+                log_w = log_w.take(k)
         if lane.size:
-            states = chain_move(cum_fwd, states, rng.random(lane.size))
-    return out
+            moved = chain_move(cum_kernel, states, rng.random(lane.size))
+            if log_w is not None:
+                log_w += log_ratio[states, moved]
+            states = moved
 
 
 @dataclass(frozen=True)
@@ -225,35 +245,19 @@ def tilted_tail_sampler(
     """
     if replicas < 1:
         raise ModelError("need at least one replica")
-    rho = spec.rho
-    k = spec.n_states
-    if k == 1:
-        tilted = np.ones((1, 1))
-    else:
-        h = np.asarray(f_kappa, dtype=float)
-        if np.any(h <= 0):
-            raise ModelError("twist eigenvector must be strictly positive")
-        tilted = tilt(spec, kappa) * h[None, :] / h[:, None]
-        tilted /= tilted.sum(axis=1, keepdims=True)
-    cum_tilt = closed_cumsum(tilted)
+    h = np.asarray(f_kappa, dtype=float)
+    if np.any(h <= 0):
+        raise ModelError("twist eigenvector must be strictly positive")
+    tilted = tilt(spec, kappa) * h[None, :] / h[:, None]
+    tilted /= tilted.sum(axis=1, keepdims=True)
     # exact per-transition log likelihood ratio of original vs sampling kernel
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(spec.H > 0, np.log(spec.H) - np.log(tilted), 0.0)
-    cum_pi = spec.chain.cum_pi
+    values, log_w = _series_lanes(spec, closed_cumsum(tilted), replicas, rng, tol,
+                                  threshold, log_ratio)
 
-    weights = np.zeros(replicas)
-    success = np.zeros(replicas, dtype=bool)
-    done = 0
-    while done < replicas:
-        m = min(_CHUNK, replicas - done)
-        w, s = _tilted_chunk(
-            m, rng, cum_pi, cum_tilt, rho, log_ratio, threshold, tol
-        )
-        weights[done:done + m] = w
-        success[done:done + m] = s
-        done += m
-
-    contrib = weights * success
+    success = values > threshold
+    contrib = np.exp(log_w) * success
     p = float(contrib.mean())
     se = float(contrib.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else float("inf")
     pos = contrib[contrib > 0]
@@ -266,40 +270,6 @@ def tilted_tail_sampler(
         replicas=replicas,
         unreliable=bool(ess < 50),
     )
-
-
-def _tilted_chunk(lanes, rng, cum_pi, cum_tilt, rho, log_ratio, threshold, tol):
-    states = np.searchsorted(cum_pi, rng.random(lanes), side="right")
-    log_w = np.zeros(lanes)
-    prod = np.ones(lanes)
-    value = np.ones(lanes)
-    weights = np.zeros(lanes)
-    success = np.zeros(lanes, dtype=bool)
-    active = np.arange(lanes)
-    terms = 0
-    while active.size:
-        terms += 1
-        if terms > MAX_TERMS:
-            raise NumericalError("tilted sampler did not terminate")
-        prod = prod * rho[states]
-        value[active] += prod
-        hit = value[active] > threshold
-        dead = prod < tol
-        retire = hit | dead
-        if retire.any():
-            idx = active[retire]
-            weights[idx] = np.exp(log_w[retire])
-            success[idx] = hit[retire]
-            keep = ~retire
-            active = active[keep]
-            prod = prod[keep]
-            states = states[keep]
-            log_w = log_w[keep]
-        if active.size:
-            new_states = chain_move(cum_tilt, states, rng.random(active.size))
-            log_w = log_w + log_ratio[states, new_states]
-            states = new_states
-    return weights, success
 
 
 @dataclass(frozen=True)

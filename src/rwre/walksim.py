@@ -58,6 +58,7 @@ _BATCH_BYTES = 8 << 20  # memory budget of one lockstep batch of reference walks
 _FINISH_LANES = 48  # a batch with at most this many live lanes finishes them one by one
 _WALK_CHUNK = 256  # walk uniforms drawn per lockstep lane at a time
 _SCALAR_CHUNK = 8192  # walk uniforms drawn at a time by the scalar loop
+_POSITION_BATCH = 512  # lockstep lanes per batch of annealed_position_sample
 
 
 @dataclass
@@ -577,16 +578,15 @@ def annealed_position_sample(
     n_steps: int,
     replicas: int,
     seed: int,
-    batch: int = 512,
 ) -> np.ndarray:
     """Walker positions after ``n_steps`` steps, one fresh environment each.
 
-    Replicas run in batches of ``batch`` lanes, batch ``b`` on the stream
-    ``derive_rng(seed, b)``; a batch's lanes step in lockstep, one uniform
-    each per step.  Their environments share one site-major buffer: row
-    ``r`` holds every lane's ``omega`` at one site, and a lane at row ``r``
-    reads flat index ``r * lanes + lane``.  After a step that leaves a lane
-    on a window edge, that side grows by ``_EXTEND_CHUNK`` sites (left
+    Replicas run in batches of ``_POSITION_BATCH`` lanes, batch ``b`` on the
+    stream ``derive_rng(seed, b)``; a batch's lanes step in lockstep, one
+    uniform each per step.  Their environments share one site-major buffer:
+    row ``r`` holds every lane's ``omega`` at one site, and a lane at row
+    ``r`` reads flat index ``r * lanes + lane``.  After a step that leaves a
+    lane on a window edge, that side grows by ``_EXTEND_CHUNK`` sites (left
     before right) from the kept edge states, in place, or into a copy with
     a window's height of head-room added on both sides once a side runs
     short.  A lane moves one site per step, so the edges are re-measured
@@ -595,17 +595,15 @@ def annealed_position_sample(
     grows inside it, so its uniforms come from one ``rng.random((steps,
     lanes))`` call, row by row the same stream as one call per step.  Each
     growth draws its ``_EXTEND_CHUNK`` rows of chain uniforms in one call
-    too.  Deterministic for fixed ``(spec, n_steps, seed, batch)``.
+    too.  Deterministic for fixed ``(spec, n_steps, seed)``.
     """
     if n_steps < 0 or replicas < 0:
         raise ModelError("step count and replicas must be nonnegative")
-    if batch < 1:
-        raise ModelError(f"batch must be at least one lane, got {batch}")
     out = np.empty(replicas, dtype=np.int64)
     done = 0
     b = 0
     while done < replicas:
-        m = min(batch, replicas - done)
+        m = min(_POSITION_BATCH, replicas - done)
         out[done:done + m] = _position_batch(spec, n_steps, m, derive_rng(seed, b))
         done += m
         b += 1

@@ -433,7 +433,6 @@ def test_transfer_gaussian_synthetic_round_trip():
         assert rep.ks < 0.05
         assert rep.b == pytest.approx(b_t * v**3, rel=1e-12)
         assert rep.shift == pytest.approx(-(v**1.5) * shift_t, abs=1e-15)
-        assert abs(rep.b_refit / b_t - 1.0) < 0.2
     # the transferred shift is what makes the shifted law fit
     unshifted = limitlaws.transfer_T_to_X(kappa, _fake_t_report(kappa, n, b_t, s), v, xs, n)
     assert unshifted.ks > 0.05 > rep.ks
@@ -448,7 +447,6 @@ def test_transfer_mid_regime_synthetic():
     assert rep.ks < 0.05
     assert rep.b == pytest.approx(b_t * v ** (kappa + 1.0), rel=1e-12)
     assert rep.shift == 0.0
-    assert abs(rep.b_refit / b_t - 1.0) < 0.25
 
 
 def test_transfer_heavy_regime_synthetic():

@@ -39,6 +39,25 @@ def test_tilted_sampler_golden_weights():
     assert _sha(summary) == "6482a738158323ef"
 
 
+@pytest.mark.parametrize("tilted, threshold, digest, next_uniform", [
+    # the kappa twist: every lane hits, after a varying number of terms
+    (True, 500.0, "406b8b1490768259", 0.10889135706923048),
+    # no twist: 24 lanes hit, the rest retire on the running product
+    (False, 10.0, "ebd805837b5daf56", 0.9502598999194979),
+])
+def test_tilted_sampler_golden_across_chunks(monkeypatch, tilted, threshold, digest,
+                                             next_uniform):
+    monkeypatch.setattr(tails, "_CHUNK", 96)
+    spec = chains.chain_mk_k2()
+    sol = spectral.solve_kappa(spec)
+    kappa, f = (sol.kappa, sol.f_kappa) if tilted else (0.0, np.ones(2))
+    rng = derive_rng(8, 1)
+    e = tails.tilted_tail_sampler(spec, kappa, f, threshold, 500, rng)
+    summary = [e.probability, e.std_error, e.effective_sample_size, e.successes]
+    assert _sha(summary) == digest
+    assert rng.random() == next_uniform
+
+
 def test_perpetuity_single_state_geometric_sum():
     vals = tails.sample_perpetuity(chains.single_state(0.5), 8, derive_rng(0, 0))
     assert np.max(np.abs(vals - 2.0)) < 4e-12
