@@ -66,15 +66,60 @@ def _write_csv(path, header, rows, conf_hash, seed):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
+def _split(a):
+    """Veltkamp's split ``a == hi + lo`` into halves of at most 26 significant bits."""
+    hi = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
+    return hi, a - hi
+
+
+_POW10 = 10.0 ** np.arange(17)  # exact doubles
+_SCALE = 10.0 ** np.arange(17, 0, -1)  # 10**(17 - d) brings d integer digits to 17
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_GROUP_ASCII = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(
+    np.uint8).view("<u4").ravel()  # 4-digit groups as ASCII words
+_COLUMNS = np.arange(20, dtype=np.uint8)  # 17 digits, the dot, CR, LF
+
+
+def _write_rows(fh, values):
+    """``fh.write(b"".join(b"%.17g\r\n" % v for v in values))``, byte for byte: values
+    in [1, 1e16) print positionally and are formatted exactly with array arithmetic,
+    any other value through the ``%`` operator, spliced in at its row."""
+    fast = (values >= 1.0) & (values < 1e16)
+    x = np.where(fast, values, 1.0)
+    dot = np.searchsorted(_POW10, x, "right").astype(np.uint8)  # integer digits
+    # x * 10**(17 - dot) == p + e exactly (Dekker's two-product); p >= 1e16 > 2**53 is
+    # an even integer, so p + rint(e) is the half-even rounded 17-digit integer.  No
+    # carry to 1e17: doubles below 10**dot stay over 11 units of digit 17 under it.
+    p = x * _SCALE[dot]
+    (x_hi, x_lo), s_hi, s_lo = _split(x), _SCALE_HI[dot], _SCALE_LO[dot]
+    e = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    words = np.stack([_GROUP_ASCII[n // 10**k % 10_000] for k in (16, 12, 8, 4, 0)], axis=1)
+    digits = words.view(np.uint8)[:, 3:]  # after the "000" of the leading digit's word
+    kept = np.maximum(17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1), dot)
+    length = kept + (kept > dot)  # the dot stays with a fraction digit
+    block = np.empty((len(x), 20), np.uint8)
+    block[:, :17] = digits
+    np.copyto(block[:, 1:18], digits, where=_COLUMNS[1:18] > dot[:, None])
+    rows = np.arange(len(x))
+    block[rows, dot] = ord(".")
+    block[rows, length] = ord("\r")
+    block[rows, length + 1] = ord("\n")
+    length = np.where(fast, length + 2, 0)
+    body, start = memoryview(block[_COLUMNS < length.astype(np.uint8)[:, None]]), 0
+    for i, end in zip(np.flatnonzero(~fast).tolist(), np.cumsum(length)[~fast].tolist()):
+        fh.writelines((body[start:end], b"%.17g\r\n" % values[i]))
+        start = end
+    fh.write(body[start:])
+
+
 def _write_samples(path, samples, conf_hash, seed):
-    """``_write_csv(path, ["value"], [(f"{v:.17g}",) ...])``, byte for byte,
-    written as formatted chunks instead of one ``writerow`` per sample."""
-    with open(path, "w", newline="") as fh:
-        fh.write("value\r\n")  # csv.writer's line terminator
+    """``_write_csv(path, ["value"], [(f"{v:.17g}",) ...])``, byte for byte."""
+    with open(path, "wb") as fh:
+        fh.write(b"value\r\n")  # csv.writer's line terminator
         for k in range(0, len(samples), _DUMP_CHUNK):
-            chunk = samples[k:k + _DUMP_CHUNK].tolist()
-            fh.write(("%.17g\r\n" * len(chunk)) % tuple(chunk))
-        fh.write(f"# config_hash={conf_hash} seed={seed}\n")
+            _write_rows(fh, samples[k:k + _DUMP_CHUNK])
+        fh.write(f"# config_hash={conf_hash} seed={seed}\n".encode())
     log.info("wrote %s (%d rows)", path, len(samples))
 
 
@@ -183,7 +228,10 @@ def _cmd_speed(args) -> int:
         print(f"inverse speed = {rep.inverse_speed:.12g}")
         print(f"crossing profile = {np.array2string(rep.profile, precision=12)}")
     if args.r_samples:
-        samples = np.loadtxt(args.r_samples, ndmin=1)
+        try:  # "value" heads the file `tails --dump` writes
+            samples = np.loadtxt(args.r_samples, ndmin=1, comments=("#", "value"))
+        except (OSError, ValueError) as exc:
+            raise ModelError(f"cannot read series samples: {exc}") from exc
         chk = speedmod.cross_check(rep, samples)
         print(f"cross-check: 2*mean(series)-1 = {chk.series_estimate:.6g} "
               f"vs {chk.inverse_speed:.6g} (z = {chk.z_score:.2f}) -> "
@@ -318,6 +366,8 @@ def run(argv: list[str]) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "tails" and args.dump and not args.out:
+        parser.error("--dump writes next to --out: give --out")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -129,7 +129,10 @@ def hill_estimator(samples: np.ndarray, top_fraction: float) -> HillEstimate:
     The confidence interval comes from the asymptotic normality of the
     estimator, with standard error ``index / sqrt(k)``.
     """
-    x = np.asarray(samples, dtype=float)
+    return _hill_sorted(np.sort(np.asarray(samples, dtype=float)), top_fraction)
+
+
+def _hill_sorted(x: np.ndarray, top_fraction: float) -> HillEstimate:
     if x.size < 1000:
         raise ModelError(f"need at least 1000 samples, got {x.size}")
     if not (0.0 < top_fraction <= 0.2):
@@ -137,7 +140,7 @@ def hill_estimator(samples: np.ndarray, top_fraction: float) -> HillEstimate:
     k = int(np.floor(top_fraction * x.size))
     if k < 5:
         raise ModelError("top fraction leaves fewer than 5 order statistics")
-    top = np.sort(x)[-(k + 1):]
+    top = x[-(k + 1):]
     threshold = top[0]
     if threshold <= 0:
         raise ModelError("tail threshold is not positive")
@@ -157,7 +160,10 @@ def hill_estimator(samples: np.ndarray, top_fraction: float) -> HillEstimate:
 
 def loglog_slope(samples: np.ndarray, top_fraction: float = 0.05) -> float:
     """Tail index from a log-log regression of the empirical survival curve."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    return _loglog_sorted(np.sort(np.asarray(samples, dtype=float)), top_fraction)
+
+
+def _loglog_sorted(x: np.ndarray, top_fraction: float) -> float:
     n = x.size
     k = max(int(np.floor(top_fraction * n)), 10)
     tail = x[-k:]
@@ -196,7 +202,10 @@ def tail_curve(
     sample, so every survival estimate on the grid averages at least 100
     exceedances.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    return _curve_sorted(np.sort(np.asarray(samples, dtype=float)), kappa, points, decades)
+
+
+def _curve_sorted(x: np.ndarray, kappa: float, points: int, decades: float) -> TailCurve:
     if x.size < 100:
         raise NumericalError("fewer than 100 samples beyond the grid start")
     t_hi = x[-100]
@@ -284,10 +293,11 @@ class TailReport:
 
 def tail_report(kappa: float, samples: np.ndarray) -> TailReport:
     """Hill estimates over each of ``HILL_FRACTIONS``, the log-log slope
-    index and the tail curve of ``samples``."""
+    index and the tail curve of ``samples``, sorted once for all of them."""
+    x = np.sort(np.asarray(samples, dtype=float))
     return TailReport(
         n_samples=len(samples),
-        hill={f: hill_estimator(samples, f) for f in HILL_FRACTIONS},
-        loglog_index=loglog_slope(samples),
-        curve=tail_curve(samples, kappa),
+        hill={f: _hill_sorted(x, f) for f in HILL_FRACTIONS},
+        loglog_index=_loglog_sorted(x, 0.05),
+        curve=_curve_sorted(x, kappa, 61, 3.0),
     )

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rwre import cli, walksim
 
@@ -127,6 +129,23 @@ def test_speed_with_cross_check(tmp_path, capsys):
     assert "consistent" in out
 
 
+def test_speed_reads_tails_dump(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert run_cli("tails", "--config", K2, "--samples", 50_000, "--seed", 1,
+                   "--dump", "--out", out) == 0
+    assert run_cli("speed", "--config", K2, "--r-samples", f"{out}.samples.csv") == 0
+    assert "-> consistent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "value\r\n1.5\r\nabc\r\n"])
+def test_speed_unreadable_samples_exit_1(tmp_path, capsys, content):
+    sfile = tmp_path / "r.csv"
+    if content is not None:
+        sfile.write_text(content)
+    assert run_cli("speed", "--config", K2, "--r-samples", sfile) == 1
+    assert "model error: cannot read series samples" in capsys.readouterr().err
+
+
 def test_speed_zero_regime(capsys):
     assert run_cli("speed", "--config", str(MODELS / "chain-mk-k1.toml")) == 0
     assert "speed = 0" in capsys.readouterr().out
@@ -225,6 +244,55 @@ def test_samples_writer_matches_csv_writer(tmp_path, monkeypatch):
     cli._write_csv(want, ["value"], [(f"{v:.17g}",) for v in values], "abc", 9)
     cli._write_samples(got, values, "abc", 9)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_tails_dump_without_out_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("tails", "--config", K2, "--samples", 1000, "--dump")
+    assert err.value.code == 64
+    assert "--out" in capsys.readouterr().err
+
+
+def _dump_matches_percent_operator(path, values):
+    """``_write_samples`` rows equal ``"%.17g" % v``, value by value."""
+    cli._write_samples(path, values, "abc", 9)
+    rows = path.read_bytes().split(b"\r\n")
+    assert rows[0] == b"value" and rows[-1] == b"# config_hash=abc seed=9\n"
+    assert len(rows) == len(values) + 2
+    for v, row in zip(values.tolist(), rows[1:-1]):
+        assert row == ("%.17g" % v).encode(), v
+
+
+CHUNKS = pytest.mark.parametrize("chunk", [3, cli._DUMP_CHUNK])
+
+
+@CHUNKS
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.one_of(st.floats(), st.floats(1.0, 1e16)), max_size=20))
+def test_samples_writer_oracle_any_double(tmp_path, monkeypatch, chunk, values):
+    # st.floats() draws negatives, subnormals, +-0.0, inf, nan and values >= 1e16
+    monkeypatch.setattr(cli, "_DUMP_CHUNK", chunk)
+    _dump_matches_percent_operator(tmp_path / "dump.csv", np.array(values, dtype=float))
+
+
+@CHUNKS
+def test_samples_writer_oracle_ties_and_decades(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_DUMP_CHUNK", chunk)
+    j = np.arange(17)
+    values = np.concatenate([
+        1 + np.arange(2**14) / 2**17,  # odd j: halfway between two 17-digit decimals
+        10.0**j, np.nextafter(10.0**j, 0), [9999999999999998.0, 1e16],
+    ])
+    _dump_matches_percent_operator(tmp_path / "dump.csv", values)
+
+
+def test_samples_writer_oracle_full_dump(tmp_path):
+    from rwre import tails
+    from rwre._rng import derive_rng
+    import chains
+    values = tails.sample_perpetuity(chains.chain_mk_k2(), 10**6, derive_rng(0, 0))
+    _dump_matches_percent_operator(tmp_path / "dump.csv", values)
 
 
 def test_limit_check_summary_rows(tmp_path, capsys):

@@ -215,3 +215,16 @@ def test_tail_report_fields():
     assert report.n_samples == 50_000
     assert set(report.hill) == {0.05, 0.02, 0.01, 0.005}
     assert report.loglog_index > 0
+
+
+def test_tail_report_equals_the_public_estimators():
+    # the report sorts once; each public estimator sorts its own input
+    spec = chains.chain_mk_k2()
+    samples = tails.sample_perpetuity(spec, 20_000, derive_rng(13, 0))
+    report = tails.tail_report(2.0, samples)
+    for f, h in report.hill.items():
+        assert h == tails.hill_estimator(samples, f)
+    assert report.loglog_index == tails.loglog_slope(samples)
+    curve = tails.tail_curve(samples, 2.0)
+    for field in ("thresholds", "survival", "curve"):
+        assert np.array_equal(getattr(report.curve, field), getattr(curve, field))
