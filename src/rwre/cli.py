@@ -75,15 +75,15 @@ def _split(a):
 _POW10 = 10.0 ** np.arange(17)  # exact doubles
 _SCALE = 10.0 ** np.arange(17, 0, -1)  # 10**(17 - d) brings d integer digits to 17
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-_GROUP_ASCII = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(
-    np.uint8).view("<u4").ravel()  # 4-digit groups as ASCII words
+_GROUP_ASCII = np.ascontiguousarray(  # the 4-digit groups 0000..9999 as ASCII words
+    np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view("<u4").ravel()
 _COLUMNS = np.arange(20, dtype=np.uint8)  # 17 digits, the dot, CR, LF
 
 
 def _write_rows(fh, values):
-    """``fh.write(b"".join(b"%.17g\r\n" % v for v in values))``, byte for byte: values
-    in [1, 1e16) print positionally and are formatted exactly with array arithmetic,
-    any other value through the ``%`` operator, spliced in at its row."""
+    """Write one ``%.17g`` row per value, each ended by CRLF, byte for byte as the ``%``
+    operator formats it: values in [1, 1e16) print positionally and are formatted
+    exactly with array arithmetic, any other value by ``%``, spliced in at its row."""
     fast = (values >= 1.0) & (values < 1e16)
     x = np.where(fast, values, 1.0)
     dot = np.searchsorted(_POW10, x, "right").astype(np.uint8)  # integer digits
