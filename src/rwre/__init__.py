@@ -17,7 +17,7 @@ from .envmodel import (
     stationary_distribution,
     validate,
 )
-from .errors import LightTailedError, ModelError, NumericalError, WindowError
+from .errors import LightTailedError, ModelError, NumericalError
 from .spectral import SpectralReport, lyapunov_exponent, solve_kappa, spectral_radius, tilt
 from .speed import SpeedReport, compute_speed, cross_check, solve_crossing_profile
 
@@ -30,7 +30,6 @@ __all__ = [
     "SpectralReport",
     "SpeedReport",
     "ValidationReport",
-    "WindowError",
     "compute_speed",
     "cross_check",
     "detect_arithmetic",

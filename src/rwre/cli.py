@@ -219,19 +219,30 @@ def _cmd_kappa(args) -> int:
     return EXIT_OK
 
 
+def _read_samples(path) -> np.ndarray:
+    """The series samples of ``path`` (a `tails --dump` file): at least two."""
+    try:  # "value" heads the file `tails --dump` writes
+        with warnings.catch_warnings():  # numpy warns on an empty file; it fails below
+            warnings.simplefilter("ignore", UserWarning)
+            samples = np.loadtxt(path, ndmin=1, comments=("#", "value"))
+    except (OSError, ValueError) as exc:
+        raise ModelError(f"cannot read series samples: {exc}") from exc
+    if samples.size < 2:
+        raise ModelError(f"cannot read series samples: {samples.size} found in {path}, "
+                         "the cross check needs at least two")
+    return samples
+
+
 def _cmd_speed(args) -> int:
     spec = envmodel.load_model(args.config)
+    samples = _read_samples(args.r_samples) if args.r_samples else None
     rep = speedmod.compute_speed(spec)
     print(f"kappa = {rep.kappa:.12g}")
     print(f"speed = {rep.v:.12g}")
     if rep.ballistic:
         print(f"inverse speed = {rep.inverse_speed:.12g}")
         print(f"crossing profile = {np.array2string(rep.profile, precision=12)}")
-    if args.r_samples:
-        try:  # "value" heads the file `tails --dump` writes
-            samples = np.loadtxt(args.r_samples, ndmin=1, comments=("#", "value"))
-        except (OSError, ValueError) as exc:
-            raise ModelError(f"cannot read series samples: {exc}") from exc
+    if samples is not None:
         chk = speedmod.cross_check(rep, samples)
         print(f"cross-check: 2*mean(series)-1 = {chk.series_estimate:.6g} "
               f"vs {chk.inverse_speed:.6g} (z = {chk.z_score:.2f}) -> "

@@ -1,12 +1,12 @@
 """Exception taxonomy: model rejections vs. numerical failures.
 
-The CLI maps ``ModelError`` to exit code 1 and ``NumericalError`` to exit
-code 2; everything else is a bug.
+The CLI maps ``ModelError`` to exit code 1 and ``NumericalError`` (and its
+subclass ``LightTailedError``) to exit code 2; everything else is a bug.
 """
 
 from __future__ import annotations
 
-__all__ = ["ModelError", "NumericalError", "LightTailedError", "WindowError"]
+__all__ = ["ModelError", "NumericalError", "LightTailedError"]
 
 
 class ModelError(ValueError):
@@ -20,10 +20,3 @@ class NumericalError(RuntimeError):
 class LightTailedError(NumericalError):
     """The moment exponent stays negative on the whole probe range: no kappa."""
 
-
-class WindowError(NumericalError):
-    """A walk left the sampled environment window and the window is fixed."""
-
-    def __init__(self, message: str, deepest_site: int):
-        super().__init__(message)
-        self.deepest_site = deepest_site

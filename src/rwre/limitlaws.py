@@ -461,12 +461,10 @@ def normalization(
     return center, math.sqrt(n * math.log(n))
 
 
-def _snap(kappa: float) -> float:
-    if abs(kappa - 1.0) <= REGIME_TOL:
-        return 1.0
-    if abs(kappa - 2.0) <= REGIME_TOL:
-        return 2.0
-    return kappa
+def _regime(kappa: float) -> tuple[float, str]:
+    """``kappa`` snapped onto 1 or 2 within ``REGIME_TOL``, and its regime."""
+    regime = regime_name(kappa)
+    return {"{1}": 1.0, "{2}": 2.0}.get(regime, kappa), regime
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +540,8 @@ def limit_check_T(
     _check_size(n, replicas)
     if kappa is None:
         kappa = spectral.solve_kappa(spec).kappa
-    kappa = _snap(kappa)
     _warn_if_arithmetic(spec)
-    regime = regime_name(kappa)
+    kappa, regime = _regime(kappa)
     if regime in ("(1,2)", "{2}") and v is None:
         v = speedmod.compute_speed(spec, kappa).v
 
@@ -598,8 +595,7 @@ def transfer_T_to_X(
     parameter except at index one, where the scale is fitted on the
     position samples.
     """
-    kappa = _snap(kappa)
-    regime = regime_name(kappa)
+    kappa, regime = _regime(kappa)
     xs = np.asarray(x_samples, dtype=float)
     b_t = t_report.b
     shift = 0.0
@@ -673,8 +669,7 @@ def limit_check_X(
     _check_size(n, replicas)
     if kappa is None:
         kappa = t_report.kappa if t_report is not None else spectral.solve_kappa(spec).kappa
-    kappa = _snap(kappa)
-    regime = regime_name(kappa)
+    kappa, regime = _regime(kappa)
     if regime in ("(1,2)", "{2}") and v is None:
         v = speedmod.compute_speed(spec, kappa).v
     if t_report is None:

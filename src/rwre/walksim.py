@@ -3,9 +3,11 @@
 Hitting times come two ways:
 
 * ``reference_walks`` — the reference path and the oracle: one uniform per
-  step against the site probability, full per-site bookkeeping,
-  per-replica derived streams.  ``simulate-walk`` and every per-path
-  record use it.
+  step against the site probability, per-replica derived streams.  A
+  record keeps the steps taken, the censoring flag, the final position,
+  the deepest site and the left moves made from every site, which is what
+  ``simulate-walk`` and the per-path identity ``T = n + 2 * (left moves)``
+  read.
 * ``annealed_hitting_sample`` — the sampling API: the per-site left-move
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
@@ -14,8 +16,8 @@ Hitting times come two ways:
   distributionally identical to the reference path and is validated
   against it in the test suite.
 
-Environment windows are two-sided and extend themselves on demand when
-they were generated from a model; fixed windows raise instead.
+Environment windows are two-sided, come from a model and extend
+themselves on demand.
 
 ``reference_walks`` runs the reference path in lockstep over batches of
 lanes, each lane on its own streams, and hands the last few live lanes of
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._rng import derive_rng, derive_rngs
 from .envmodel import EnvironmentSpec, chain_move, chain_walk
-from .errors import ModelError, NumericalError, WindowError
+from .errors import ModelError, NumericalError
 
 __all__ = [
     "EnvPath",
@@ -74,18 +76,12 @@ class EnvPath:
     left: int
     right: int
     omega: np.ndarray
-    states: np.ndarray | None = None
-    spec: EnvironmentSpec | None = None
-    rng: np.random.Generator | None = None
-
-    @property
-    def extendable(self) -> bool:
-        return self.spec is not None and self.rng is not None and self.states is not None
+    states: np.ndarray
+    spec: EnvironmentSpec
+    rng: np.random.Generator
 
     def extend_left(self, count: int = _EXTEND_CHUNK) -> None:
         """Grow the window downward by continuing the forward chain."""
-        if not self.extendable:
-            raise WindowError("window too small and environment is fixed", -self.left)
         new = chain_walk(self.spec.chain.fwd_rows, int(self.states[0]),
                          self.rng.random(count).tolist())
         new_states = np.array(new[::-1], dtype=np.int64)
@@ -95,8 +91,6 @@ class EnvPath:
 
     def extend_right(self, count: int = _EXTEND_CHUNK) -> None:
         """Grow the window upward by continuing the reversed chain."""
-        if not self.extendable:
-            raise WindowError("window too small and environment is fixed", self.right)
         new = chain_walk(self.spec.chain.rev_rows, int(self.states[-1]),
                          self.rng.random(count).tolist())
         new_states = np.array(new, dtype=np.int64)
@@ -141,60 +135,31 @@ class WalkRecord:
     """One quenched walk run to a target site (or to the step budget)."""
 
     n_target: int
-    hit_times: np.ndarray  # hit_times[k-1] = first time at site k, k = 1..reached
     left_moves: np.ndarray  # per-site left-move counts for sites deepest..n_target
     deepest_site: int
     final_position: int
-    steps: int
+    steps: int  # the hitting time of n_target unless censored
     censored: bool
-
-    @property
-    def reached(self) -> int:
-        return len(self.hit_times)
-
-    @property
-    def hitting_time(self) -> int:
-        if self.censored:
-            raise NumericalError("record is censored: target was not reached")
-        return int(self.hit_times[-1])
-
-    @property
-    def crossing_times(self) -> np.ndarray:
-        """Per-site crossing durations (first differences of the hit times)."""
-        return np.diff(self.hit_times, prepend=0)
-
-    @property
-    def total_left_moves(self) -> int:
-        return int(self.left_moves.sum())
-
-    def left_moves_at(self, site: int) -> int:
-        if site < self.deepest_site or site > self.n_target:
-            return 0
-        return int(self.left_moves[site - self.deepest_site])
 
     @property
     def identity_holds(self) -> bool:
         """Exact bookkeeping identity: T = n + 2 * (total left moves)."""
-        if self.censored:
-            return False
-        return self.hitting_time == self.n_target + 2 * self.total_left_moves
+        return not self.censored and self.steps == self.n_target + 2 * int(self.left_moves.sum())
 
 
 @dataclass
 class _WalkState:
     """A reference walk paused after ``t`` steps at site ``pos``.
 
-    ``best`` and ``deepest`` are the highest and lowest sites reached,
-    ``U[i + env.left]`` the left moves made from site ``i`` and ``hit`` the
-    hit times so far; the walk's stream stands at its ``t + 1``-th uniform.
+    ``deepest`` is the lowest site reached and ``U[i + env.left]`` the left
+    moves made from site ``i``; the walk's stream stands at its ``t + 1``-th
+    uniform.
     """
 
     pos: int
     t: int
-    best: int
     deepest: int
     U: np.ndarray
-    hit: np.ndarray
 
 
 def _cover(env: EnvPath, n: int) -> None:
@@ -203,13 +168,6 @@ def _cover(env: EnvPath, n: int) -> None:
         raise ModelError(f"target site must be >= 1, got {n}")
     while env.right < n - 1:
         env.extend_right(max(_EXTEND_CHUNK, n - 1 - env.right))
-
-
-def _extend_below(env: EnvPath, pos: int) -> None:
-    """Grow ``env`` by one chunk under a walk that left it at site ``pos``."""
-    if not env.extendable:
-        raise WindowError(f"window too small: walk reached site {pos}", pos)
-    env.extend_left()
 
 
 def run_to_hit(
@@ -222,26 +180,22 @@ def run_to_hit(
     """Reference quenched walk from the origin to the first visit of ``n``.
 
     One uniform per step, no shortcuts.  The environment window is extended
-    on demand for model-generated environments; a fixed window raises a
-    ``WindowError`` carrying the deepest site reached.  ``resume`` continues
-    a walk paused in that state on the same ``env`` and ``rng``.
+    on demand.  ``resume`` continues a walk paused in that state on the
+    same ``env`` and ``rng``.
     """
     _cover(env, n)
     if resume is None:
-        resume = _WalkState(0, 0, 0, 0, np.zeros(env.left + n + 1, dtype=np.int64),
-                            np.zeros(n, dtype=np.int64))
+        resume = _WalkState(0, 0, 0, np.zeros(env.left + n + 1, dtype=np.int64))
     # Python lists: indexing them is several times cheaper than numpy's
     omega = env.omega.tolist()
     left = env.left
     U = resume.U.tolist()  # site i at index i + left
-    hit = resume.hit.tolist()
-    pos, t, best, deepest = resume.pos, resume.t, resume.best, resume.deepest
+    pos, t, deepest = resume.pos, resume.t, resume.deepest
     chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: a lane near its end draws few
     while pos < n:
         if t >= step_cap:
             return WalkRecord(
                 n_target=n,
-                hit_times=np.array(hit[:best], dtype=np.int64),
                 left_moves=np.array(U[deepest + left:], dtype=np.int64),
                 deepest_site=deepest,
                 final_position=pos,
@@ -254,24 +208,20 @@ def run_to_hit(
             t += 1
             if u < omega[pos + left]:
                 pos += 1
-                if pos > best:
-                    hit[pos - 1] = t
-                    best = pos
-                    if pos == n:
-                        break
+                if pos == n:
+                    break
             else:
                 U[pos + left] += 1
                 pos -= 1
                 if pos < deepest:
                     deepest = pos
                     if pos + left < 0:  # extend before the next step or the cap test
-                        _extend_below(env, pos)
+                        env.extend_left()
                         U = [0] * (env.left - left) + U
                         omega = env.omega.tolist()
                         left = env.left
     return WalkRecord(
         n_target=n,
-        hit_times=np.array(hit, dtype=np.int64),
         left_moves=np.array(U[deepest + left:], dtype=np.int64),
         deepest_site=deepest,
         final_position=pos,
@@ -330,9 +280,9 @@ def reference_walks(
 
 
 def _batch_width(n: int) -> int:
-    """Lanes per batch: a lane holds about eight int64 or float64 arrays
-    over its window (uniforms, states, omega, left moves, hit times, its
-    record), plus its walk uniforms."""
+    """Lanes per batch: a lane is given eight int64 or float64 arrays over
+    its window (uniforms, states, omega, left moves, its record and room
+    for the buffers to grow), plus its walk uniforms."""
     return max(1, _BATCH_BYTES // (64 * (n + _EXTEND_CHUNK) + 8 * _WALK_CHUNK))
 
 
@@ -362,13 +312,15 @@ class _Lockstep:
     the lanes stepped together while more than ``_FINISH_LANES`` are live
     and the buffers fit ``_BATCH_BYTES``.
 
-    Row ``i`` of ``omega``, ``U`` (left moves) and ``hit`` (first hit times)
-    holds lane ``i``, column ``c`` site ``c - z``; a lane at column ``c``
-    reads flat index ``i * width + c``.  Lane ``i``'s window starts at column
-    ``lo[i]``; columns below it are head-room for left extensions, added for
-    every lane at once when one runs short.  Sites ``n`` and ``n + 1`` are a
-    sink (right, then back left), so a lane that hits ``n`` stays there,
-    clear of its record, until the next boundary retires it.
+    Row ``i`` of ``omega`` and ``U`` (left moves) holds lane ``i``, column
+    ``c`` site ``c - z``; a lane at column ``c`` reads flat index
+    ``i * width + c``.  Lane ``i``'s window starts at column ``lo[i]``;
+    columns below it are head-room for left extensions, added for every
+    lane at once when one runs short.  Sites ``n`` and ``n + 1`` are a sink
+    (right, then back left), so a lane that hits ``n`` stays there, clear of
+    its record, until the next boundary retires it.  Each bounce adds one
+    to the lane's ``U`` at ``n + 1``, so a lane at ``pos`` in the sink at
+    step ``t`` hit ``n`` at step ``t - 2 * U[n + 1] - (pos - n)``.
     """
 
     def __init__(self, envs, n, rngs, step_cap):
@@ -383,25 +335,21 @@ class _Lockstep:
             row[lo:self.z + n] = env.omega[:env.left + n]
         self.omega[:, self.z + n:] = (1.0, 0.0)
         self.U = np.zeros(shape, dtype=np.int64)
-        self.hit = np.zeros(shape, dtype=np.int64)
 
-    def _extend(self, lane, idx, best, below) -> None:
+    def _extend(self, lane, idx, below) -> None:
         """Extend the windows of lanes ``lane[below]``, each one site below
         its window, first adding head-room for every lane if one runs short;
-        ``idx`` and ``best`` follow the buffers in place."""
+        ``idx`` follows the buffers in place."""
         width = self.omega.shape[1]
         if self.lo[lane[below]].min() < _EXTEND_CHUNK:
             def pad(a):
                 return np.concatenate([np.zeros((a.shape[0], width), a.dtype), a], axis=1)
-            self.omega, self.U, self.hit = pad(self.omega), pad(self.U), pad(self.hit)
+            self.omega, self.U = pad(self.omega), pad(self.U)
             self.z += width
             self.lo += width
             idx += (lane + 1) * width  # flat i * 2 * width + c + width
-            best += (lane + 1) * width
-            width *= 2
-        for k in below:
-            i = lane[k]
-            _extend_below(self.envs[i], int(idx[k] - i * width - self.z))
+        for i in lane[below]:
+            self.envs[i].extend_left()
             self.lo[i] -= _EXTEND_CHUNK
             self.omega[i, self.lo[i]:self.lo[i] + _EXTEND_CHUNK] = \
                 self.envs[i].omega[:_EXTEND_CHUNK]
@@ -411,11 +359,10 @@ class _Lockstep:
         moved = np.flatnonzero(self.U[i, self.lo[i]:self.z + 1])
         return min(0, int(self.lo[i] + moved[0]) - self.z - 1) if moved.size else 0
 
-    def _record(self, i, pos, best, steps, censored) -> WalkRecord:
+    def _record(self, i, pos, steps, censored) -> WalkRecord:
         z, deepest = self.z, self._deepest(i)
         return WalkRecord(
             n_target=self.n,
-            hit_times=self.hit[i, z + 1:z + 1 + best].copy(),
             left_moves=self.U[i, z + deepest:z + self.n + 1].copy(),
             deepest_site=deepest,
             final_position=pos,
@@ -442,34 +389,33 @@ class _Lockstep:
         records = [None] * len(self.envs)
         lane = np.arange(len(self.envs))  # live lanes
         idx = lane * self.omega.shape[1] + self.z  # flat position of each live lane
-        best = idx.copy()  # flat index of its highest site
         t = 0
         while True:
-            # Chunk boundary: retire lanes that hit n, censor at the cap, hand
+            # Chunk boundary: retire lanes in the sink, censor at the cap, hand
             # a handful of live lanes, or all once the head-room has outgrown
             # the budget, to the scalar loop.
             width, z = self.omega.shape[1], self.z
-            pos, top = idx - lane * width - z, best - lane * width - z
-            done = top >= n
+            pos = idx - lane * width - z
+            done = pos >= n
             for k in np.flatnonzero(done):
                 i = lane[k]
-                records[i] = self._record(i, n, n, int(self.hit[i, z + n]), False)
+                hit = t - 2 * int(self.U[i, z + n + 1]) - int(pos[k] - n)
+                records[i] = self._record(i, n, hit, False)
             if t >= cap:  # censor every live lane
                 for k in np.flatnonzero(~done):
-                    records[lane[k]] = self._record(lane[k], int(pos[k]), int(top[k]), t, True)
+                    records[lane[k]] = self._record(lane[k], int(pos[k]), t, True)
                 done[:] = True
-            lane, idx, best, pos, top = (a[~done] for a in (lane, idx, best, pos, top))
+            lane, idx, pos = lane[~done], idx[~done], pos[~done]
             if lane.size <= _FINISH_LANES or 3 * self.omega.nbytes > _BATCH_BYTES:
-                paused = {int(i): _WalkState(int(pos[k]), t, int(top[k]), self._deepest(i),
-                                             self.U[i, self.lo[i]:z + n + 1].copy(),
-                                             self.hit[i, z + 1:z + n + 1].copy())
+                paused = {int(i): _WalkState(int(pos[k]), t, self._deepest(i),
+                                             self.U[i, self.lo[i]:z + n + 1].copy())
                           for k, i in enumerate(lane)}
-                self.omega = self.U = self.hit = None
+                self.omega = self.U = None
                 return records, paused
             W = np.empty((lane.size, chunk))
             for row, i in zip(W, lane):
                 self.rngs[i].random(out=row)
-            om, U, hit = self.omega.ravel(), self.U.ravel(), self.hit.ravel()
+            om, U = self.omega.ravel(), self.U.ravel()
             lo = lane * width + self.lo[lane]  # flat index of each lane's lowest site
             j, stop = 0, min(chunk, cap - t)
             while j < stop:
@@ -481,14 +427,11 @@ class _Lockstep:
                     idx += right
                     idx -= left
                     j += 1
-                    new = idx > best
-                    best += new
-                    hit[idx[new]] = t + j
                 # extend before the next step or the cap test, as run_to_hit does
                 below = np.flatnonzero(idx < lo)
                 if below.size:
-                    self._extend(lane, idx, best, below)
-                    om, U, hit = self.omega.ravel(), self.U.ravel(), self.hit.ravel()
+                    self._extend(lane, idx, below)
+                    om, U = self.omega.ravel(), self.U.ravel()
                     lo = lane * self.omega.shape[1] + self.lo[lane]
             t += stop
 

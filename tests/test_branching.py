@@ -254,7 +254,7 @@ def test_branching_vs_walk_single_site_trivial():
     import rwre.walksim as walksim
     env = walksim.sample_environment(spec, 8, 0, derive_rng(17, 0))
     rec = walksim.run_to_hit(env, 1, derive_rng(17, 1))
-    assert rec.left_moves_at(1) == 0
+    assert rec.left_moves[1 - rec.deepest_site] == 0
     sums = branching.branch_population_sums(spec, 1, 50, derive_rng(18, 0))
     assert np.all(sums == 0)
 

@@ -137,13 +137,17 @@ def test_speed_reads_tails_dump(tmp_path, capsys):
     assert "-> consistent" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", [None, "value\r\n1.5\r\nabc\r\n"])
-def test_speed_unreadable_samples_exit_1(tmp_path, capsys, content):
+@pytest.mark.parametrize("content", [None, "value\r\n1.5\r\nabc\r\n", "", "value\r\n2.5\r\n"])
+def test_speed_unreadable_samples_exit_1(tmp_path, capsys, recwarn, content):
+    # a missing file, a bad value, no values, one value: rejected before the report
     sfile = tmp_path / "r.csv"
     if content is not None:
-        sfile.write_text(content)
+        sfile.write_bytes(content.encode())
     assert run_cli("speed", "--config", K2, "--r-samples", sfile) == 1
-    assert "model error: cannot read series samples" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "model error: cannot read series samples" in err
+    assert not recwarn.list
 
 
 def test_speed_zero_regime(capsys):

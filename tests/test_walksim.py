@@ -7,7 +7,7 @@ from scipy import stats
 import chains
 from rwre import envmodel, walksim
 from rwre._rng import derive_rng
-from rwre.errors import ModelError, NumericalError, WindowError
+from rwre.errors import ModelError, NumericalError
 
 
 def test_environment_deterministic_under_seed():
@@ -186,11 +186,13 @@ def test_environment_state_frequencies_match_stationary():
 
 
 def test_run_to_hit_degenerate_always_right():
-    env = walksim.EnvPath(left=0, right=10, omega=np.ones(11))
+    # no model has omega = 1; the walk never leaves this window, so it never
+    # extends it and the spec and stream are not read
+    env = walksim.EnvPath(left=0, right=10, omega=np.ones(11), states=np.zeros(11, dtype=np.int64),
+                          spec=chains.single_state(1.0), rng=derive_rng(1, 1))
     rec = walksim.run_to_hit(env, 10, derive_rng(1, 0))
-    assert rec.hitting_time == 10
-    assert rec.total_left_moves == 0
-    assert list(rec.hit_times) == list(range(1, 11))
+    assert (rec.steps, rec.final_position, rec.deepest_site, rec.censored) == (10, 10, 0, False)
+    assert rec.left_moves.tolist() == [0] * 11
 
 
 @pytest.mark.parametrize("make,n", [(chains.chain_mk_k1, 30),
@@ -199,11 +201,9 @@ def test_run_to_hit_degenerate_always_right():
 def test_bookkeeping_identity_exact_on_every_record(make, n):
     for rec in walksim.reference_walks(make(), n, 120, seed=33):
         assert rec.identity_holds
-        assert (rec.hitting_time - n) % 2 == 0
-        tau = rec.crossing_times
-        assert np.all(tau >= 1)
-        assert np.all(np.diff(rec.hit_times) >= 1)
-        assert rec.left_moves_at(rec.deepest_site - 1) == 0
+        assert (rec.steps - n) % 2 == 0
+        assert rec.left_moves.shape == (n - rec.deepest_site + 1,)
+        assert rec.left_moves[-1] == 0  # the walk stops on reaching n
 
 
 def test_budget_exhaustion_reports_partial_record():
@@ -212,14 +212,8 @@ def test_budget_exhaustion_reports_partial_record():
     rec = walksim.run_to_hit(env, 1000, derive_rng(7, 1), step_cap=50)
     assert rec.censored
     assert rec.steps == 50
-    assert rec.reached < 1000
-
-
-def test_window_error_on_fixed_environment():
-    env = walksim.EnvPath(left=2, right=9, omega=np.full(12, 0.1))
-    with pytest.raises(WindowError) as err:
-        walksim.run_to_hit(env, 10, derive_rng(2, 0))
-    assert err.value.deepest_site <= -2
+    assert rec.final_position < 1000
+    assert not rec.identity_holds
 
 
 def test_window_auto_extension_on_model_environment():
@@ -291,9 +285,8 @@ def _assert_same_records(got, want):
     for a, b in zip(got, want):
         for field in ("n_target", "deepest_site", "final_position", "steps", "censored"):
             assert getattr(a, field) == getattr(b, field), field
-        for field in ("hit_times", "left_moves"):
-            x, y = getattr(a, field), getattr(b, field)
-            assert x.dtype == y.dtype and np.array_equal(x, y), field
+        x, y = a.left_moves, b.left_moves
+        assert x.dtype == y.dtype and np.array_equal(x, y), "left_moves"
 
 
 @pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
@@ -327,6 +320,26 @@ def test_reference_walks_match_walks_alone_seed_past_2_64(monkeypatch, floor, na
     # a seed of three 32-bit words
     test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
                                            deepest, censored, seed=2**64 + 33)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+def test_lockstep_hitting_time_read_off_the_sink(monkeypatch, chunk):
+    # Small chunks put hits on chunk boundaries; with chunks of 256 lanes
+    # bounce in the sink many times before their boundary.  A cap at one
+    # walk's hitting time lets it finish on the cap's step; one less censors it.
+    spec, n, replicas = chains.chain_mk_k2(), 60, 80
+    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
+    monkeypatch.setattr(walksim, "_WALK_CHUNK", chunk)
+    alone = _alone(spec, n, replicas, seed=33)
+    got = list(walksim.reference_walks(spec, n, replicas, seed=33))
+    _assert_same_records(got, alone)
+    k = int(np.argsort([r.steps for r in alone])[replicas // 2])
+    hit = alone[k].steps
+    for cap in (hit, hit - 1):
+        got = list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=cap))
+        _assert_same_records(got, _alone(spec, n, replicas, seed=33, step_cap=cap))
+        assert got[k].censored == (cap < hit)
+        assert 0 < sum(r.censored for r in got) < replicas
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -383,23 +396,6 @@ def test_batched_windows_match_sample_environment():
         assert np.array_equal(env.states, alone.states)
         assert np.array_equal(env.omega, alone.omega)
         assert env.rng.random() == rng.random()
-
-
-@pytest.mark.parametrize("lanes", [1, 5])
-def test_lockstep_fixed_window_raises_like_scalar(monkeypatch, lanes):
-    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
-
-    def fixed():
-        return walksim.EnvPath(left=2, right=9, omega=np.full(12, 0.1))
-
-    with pytest.raises(WindowError) as alone:
-        walksim.run_to_hit(fixed(), 10, derive_rng(2, 0))
-    with pytest.raises(WindowError) as batch:
-        list(walksim._Lockstep([fixed() for _ in range(lanes)], 10,
-                               [derive_rng(2, i) for i in range(lanes)],
-                               walksim.DEFAULT_STEP_CAP).run())
-    assert batch.value.deepest_site == alone.value.deepest_site == -3
-    assert str(batch.value) == str(alone.value)
 
 
 def test_censoring_just_below_window_keeps_left_moves():
