@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import logging
 import os
@@ -123,6 +124,7 @@ def _write_samples(path, samples, conf_hash, seed):
     log.info("wrote %s (%d rows)", path, len(samples))
 
 
+@functools.cache  # one grammar per process; parse_args gives each call a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rwre", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

@@ -22,8 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelError
 
@@ -71,6 +69,10 @@ class EnvironmentSpec:
         H = np.asarray(self.H, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
         k = len(self.states)
+        if k == 0:
+            raise ModelError("a model needs at least one state")
+        if len(set(map(str, self.states))) < k:
+            raise ModelError(f"state names must be distinct, got {list(self.states)}")
         if H.shape != (k, k):
             raise ModelError(f"H must be {k}x{k}, got {H.shape}")
         if omega.shape != (k,):
@@ -238,13 +240,26 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _reach(H: np.ndarray) -> np.ndarray:
+    """Reachability closure of the support of ``H``: ``R[x, y]`` is true iff
+    ``y`` can be reached from ``x`` in zero or more steps.  Boolean matmul
+    ORs its products, so the squarings never wrap."""
+    R = (np.asarray(H) > 0) | np.eye(len(H), dtype=bool)
+    for _ in range((len(H) - 1).bit_length()):  # s squarings cover 2**s >= K - 1 steps
+        R = R @ R
+    return R
+
+
 def _strong_components(H: np.ndarray) -> list[list[int]]:
-    n, labels = connected_components(csr_matrix(H > 0), connection="strong")
-    return [list(np.flatnonzero(labels == c)) for c in range(n)]
+    """Strongly connected components, in order of their lowest state."""
+    R = _reach(H)
+    C = R & R.T
+    lowest = np.flatnonzero(np.argmax(C, axis=1) == np.arange(len(C)))
+    return [np.flatnonzero(C[i]).tolist() for i in lowest]
 
 
 def is_irreducible(H: np.ndarray) -> bool:
-    return len(_strong_components(np.asarray(H, dtype=float))) == 1
+    return bool(_reach(H).all())
 
 
 def stationary_distribution(H: np.ndarray) -> np.ndarray:
@@ -296,7 +311,7 @@ def reverse_kernel(spec: EnvironmentSpec) -> np.ndarray:
 def validate(spec: EnvironmentSpec) -> ValidationReport:
     """Run every model assumption as an executable check.
 
-    Irreducibility is decided by strongly-connected-component analysis; the
+    Irreducibility is read off the reachability closure of the support; the
     drift is the stationary mean of ``log rho``; the moment-growth witnesses
     bracket kappa (:func:`rwre.spectral.moment_bracket`, ``None`` if absent);
     the lattice check runs on the transition graph.

@@ -127,7 +127,9 @@ def moment_bracket(spec: EnvironmentSpec) -> tuple[np.ndarray, float | None, flo
     slope at zero) is negative; ``lo`` is None past ``BETA_FLOOR``, and
     ``hi`` is None when ``Lambda < 0`` on the whole grid (light tails).
     """
-    lams = np.array([lyapunov_exponent(spec, float(b)) for b in BETA_GRID])
+    # one stacked eigensolve: LAPACK runs per matrix, so each equals lyapunov_exponent's
+    stack = np.stack([tilt(spec, float(b)) for b in BETA_GRID])
+    lams = np.log(np.max(np.abs(np.linalg.eigvals(stack)), axis=-1))
     above = np.flatnonzero(lams >= 0.0)
     if above.size == 0:
         return lams, float(BETA_GRID[-1]), None

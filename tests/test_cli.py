@@ -370,3 +370,30 @@ def test_log_env_var_does_not_change_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("RWRE_LOG", "debug")
     run_cli("kappa", "--config", K2, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_and_no_state_carried_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [("kappa", "--config", K2, "--out", "{dir}/grid.csv"),
+             ("tails", "--config", K2, "--samples", 1000, "--dump"),  # no --out: 64
+             ("validate", "--config", K2),
+             ("kappa", "--config", K2, "--bogus"),  # unknown flag: 64
+             ("kappa", "--config", K2)]
+
+    def outcome(argv, out_dir):
+        out_dir.mkdir(exist_ok=True)
+        try:
+            code = run_cli(*(str(a).format(dir=out_dir) for a in argv))
+        except SystemExit as exc:
+            code = exc.code
+        cap = capsys.readouterr()
+        return code, cap.out, cap.err, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    shared = [outcome(argv, tmp_path / f"shared{i}") for i, argv in enumerate(calls)]
+    fresh = []
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv, tmp_path / f"fresh{i}"))
+    assert [s[0] for s in shared] == [0, 64, 0, 64, 0]
+    assert shared[0][3]["grid.csv"].startswith(b"beta,lambda,radius")
+    assert shared == fresh

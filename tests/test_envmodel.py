@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import chains
 from rwre import envmodel
@@ -303,3 +305,61 @@ def test_non_finite_spec_rejected():
     with pytest.raises(ModelError, match="finite"):
         EnvironmentSpec(states=("a", "b"), H=np.array([[np.nan, 1.0], [0.5, 0.5]]),
                         omega=np.array([0.4, 0.5]), epsilon=0.1)
+
+
+def test_empty_state_list_rejected():
+    with pytest.raises(ModelError, match="at least one state"):
+        EnvironmentSpec(states=(), H=np.zeros((0, 0)), omega=np.zeros(0), epsilon=0.1)
+
+
+def test_repeated_state_names_rejected():
+    doc = 'states = ["a", "a"]\nepsilon = 0.1\nH = [[0.5, 0.5], [0.5, 0.5]]\nomega = [0.4, 0.6]\n'
+    with pytest.raises(ModelError, match="distinct"):
+        envmodel.spec_from_dict(envmodel.parse_model_text(doc))
+
+
+def _assert_components_match_scipy(support):
+    n, labels = connected_components(csr_matrix(support), connection="strong")
+    comps = envmodel._strong_components(support.astype(float))
+    assert {frozenset(c) for c in comps} == {frozenset(np.flatnonzero(labels == c).tolist())
+                                             for c in range(n)}
+    assert [c[0] for c in comps] == sorted(min(c) for c in comps)  # by lowest state
+    assert envmodel.is_irreducible(support.astype(float)) == (n == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), density=st.floats(0.05, 0.6), zero_diagonal=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_components_match_scipy_on_random_supports(k, density, zero_diagonal, seed):
+    support = np.random.default_rng(seed).random((k, k)) < density
+    if zero_diagonal:
+        np.fill_diagonal(support, False)
+    _assert_components_match_scipy(support)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(1, 6), b=st.integers(1, 6), back=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_components_match_scipy_on_two_blocks_joined_by_one_edge(a, b, back, seed):
+    # two cycles, one edge from the first to the second (and one back), states shuffled
+    rng = np.random.default_rng(seed)
+    support = np.zeros((a + b, a + b), dtype=bool)
+    for lo, size in ((0, a), (a, b)):
+        idx = lo + np.arange(size)
+        support[idx, np.roll(idx, 1)] = True
+    support[rng.integers(a), a + rng.integers(b)] = True
+    if back:
+        support[a + rng.integers(b), rng.integers(a)] = True
+    perm = rng.permutation(a + b)
+    _assert_components_match_scipy(support[np.ix_(perm, perm)])
+
+
+def test_components_of_long_cycle_whole_and_cut():
+    k = 300
+    support = np.zeros((k, k), dtype=bool)
+    support[np.arange(k), (np.arange(k) + 1) % k] = True
+    assert envmodel.is_irreducible(support.astype(float))
+    _assert_components_match_scipy(support)
+    support[k - 1, 0] = False  # a path: every state its own component
+    assert envmodel._strong_components(support.astype(float)) == [[i] for i in range(k)]
+    _assert_components_match_scipy(support)

@@ -324,3 +324,29 @@ def test_solve_kappa_below_probe_grid():
     rep = envmodel.validate(spec)
     assert rep.a3_negative_beta < kappa <= rep.a3_nonnegative_beta
     assert rep.irreducible and rep.drift < 0 and not rep.arithmetic_span.arithmetic
+
+
+def _assert_grid_is_per_point(spec):
+    lams, lo, hi = spectral.moment_bracket(spec)
+    want = [spectral.lyapunov_exponent(spec, float(b)) for b in spectral.BETA_GRID]
+    assert lams.tolist() == want  # bit for bit
+    return lo, hi
+
+
+@pytest.mark.parametrize("make, bracket", [
+    (chains.chain_mk_k1, (0.5, 1.0)), (chains.chain_mk_k2, (1.0, 2.0)),
+    (chains.iid_k1, (0.5, 1.0)), (chains.iid_k2, (1.0, 2.0)),
+    (chains.nonarith_k2, (1.0, 2.0)), (chains.nonarith_sub1, (0.5, 1.0)),
+])
+def test_moment_grid_equals_per_point_solves_on_shipped_models(make, bracket):
+    assert _assert_grid_is_per_point(make()) == bracket
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=random_chains().filter(lambda s: s.n_states >= 2))
+def test_moment_grid_equals_per_point_solves(spec):
+    lo, hi = _assert_grid_is_per_point(spec)
+    # the bracket is still two adjacent powers of two straddling the root
+    if lo is not None and hi is not None:
+        assert hi == 2.0 * lo
+        assert spectral.lyapunov_exponent(spec, lo) < 0.0 <= spectral.lyapunov_exponent(spec, hi)

@@ -13,10 +13,16 @@ of this repository:
 
 Seeds 0-9 run by default, ten pairs per workload.  When trees labelled
 ``parent`` and ``change`` both ran, ``pair_wins`` counts, per workload and
-metric, the seeds on which each side was lower (ties count for neither).
+metric, the seeds on which each side was lower (ties count for neither),
+and ``verdict`` states how the pipeline judges the change on each metric:
+``gain`` when the change is lower on at least nine pairs in ten and its
+median lies below the parent's by more than the parent's interquartile
+spread, ``worse`` when its median exceeds the parent's by more than the
+metric's relative ``bound`` in ``BENCHMARK.json`` (read, never written),
+``same`` otherwise.
 Each tree must be a git checkout with no uncommitted changes to tracked
 files, so that the recorded commit is the code that ran (perfbench imports
-rwre from the tree's ``src/``).  Every run's own metrics, verdict and
+rwre from the tree's ``src/``).  Every run's own metrics, correctness and
 failure count are kept next to the medians.
 """
 
@@ -31,6 +37,7 @@ from pathlib import Path
 
 WORKLOADS = ("limit-check", "walk-branching", "kappa-tails")
 METRICS = ("cpu_s", "setup_s", "peak_rss_mb")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -75,6 +82,19 @@ def pair_wins(parent: list[dict], change: list[dict]) -> dict:
                 "pairs": len(pairs)} for m in METRICS}
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """``gain``, ``worse`` or ``same`` for one lower-is-better metric, from the
+    runs of both trees paired seed by seed and the metric's relative bound."""
+    wins = sum(c < p for p, c in zip(parent, change, strict=True))
+    q1, q3 = quartiles(parent)
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    if 10 * wins >= 9 * len(parent) and med_p - med_c > q3 - q1:
+        return "gain"
+    if med_c > med_p * (1.0 + bound):
+        return "worse"
+    return "same"
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
@@ -82,6 +102,8 @@ def main(argv=None) -> None:
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     args = p.parse_args(argv)
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
     result = {"pr": args.pr, "trees": {
@@ -102,7 +124,10 @@ def main(argv=None) -> None:
         if {"parent", "change"} <= trees.keys():
             result.setdefault("pair_wins", {})[workload] = pair_wins(runs["parent"],
                                                                      runs["change"])
-    out = Path(__file__).resolve().parents[1] / f"BENCH_{args.pr}.json"
+            result.setdefault("verdict", {})[workload] = {
+                m: verdict([r[m] for r in runs["parent"]], [r[m] for r in runs["change"]],
+                           bounds[m]) for m in METRICS}
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(out)
 
