@@ -74,6 +74,17 @@ def nonarith_sub1() -> EnvironmentSpec:
     )
 
 
+def nonarith_k15() -> EnvironmentSpec:
+    """Non-arithmetic tail index 3/2: omega_2 solves Lambda(3/2) = 0, so the
+    spectral solver reads 1.5000000000000004; speed about 0.172."""
+    return EnvironmentSpec(
+        states=("calm", "rough"),
+        H=np.array([[0.9, 0.1], [0.5, 0.5]]),
+        omega=np.array([10 / 13, 0.3895117782458527]),
+        epsilon=0.05,
+    )
+
+
 def single_state(rho: float, epsilon: float = 0.05) -> EnvironmentSpec:
     return EnvironmentSpec(
         states=("only",),

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -315,12 +316,40 @@ def test_limit_check_summary_rows(tmp_path, capsys):
     ("nonarith-sub1", 3, "9fa9e3fd82453bd64ebe2edffcd6e364f3e25e0ddeb3810006e597a4c79bf2f7"),
     # index one: fit_b runs on both sides
     ("chain-mk-k1", 7, "ca4bace21187d7286ea22c9dcb7a1226aca008a8bd340c7fa5ecc16f82f00908"),
+    # boundary index: the jointly fitted shift on T, its transfer to X
+    ("nonarith-k2", 3, "31928fdfdf745f0162840b6a4aa9fc5fb2f3580ff43014c36d30aa56453c00a7"),
 ])
 def test_limit_check_csv_golden(model, seed, digest, tmp_path):
     out = tmp_path / "limit.csv"
     assert run_cli("limit-check", "--config", MODELS / f"{model}.toml", "--n", 1000,
                    "--replicas", 1000, "--side", "both", "--seed", seed, "--out", out) == 0
     assert _sha256(out) == digest
+
+
+def _perfbench_checks():
+    """``perfbench/checks.py``, loaded by path without importing the harness."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", MODELS.parent / "perfbench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("model, regime", [
+    ("nonarith-sub1", "(0,1)"), ("chain-mk-k1", "{1}"), ("nonarith-k2", "{2}"),
+])
+def test_limit_check_summary_line_parses(model, regime, capsys):
+    # the benchmark reads each side's verdict off the summary line
+    assert run_cli("limit-check", "--config", MODELS / f"{model}.toml", "--n", 100,
+                   "--replicas", 1000, "--side", "both", "--seed", 1) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"-side regime {regime}: b = ") == 2
+    verdicts = _perfbench_checks().verdicts(out)
+    assert set(verdicts) == {"T", "X"}
+    if regime == "{1}":
+        assert verdicts == {"T": "n/a", "X": "n/a"}
+    else:
+        assert set(verdicts.values()) <= {"pass", "FAIL"}
 
 
 def test_limit_check_boundary_index_reports_shift(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -489,6 +490,27 @@ def test_limit_check_X_index_one_solves_no_speed(monkeypatch):
     rep = limitlaws.limit_check_X(chains.chain_mk_k1(), 200, 1000, seed=3, v=None)
     assert rep.regime == "{1}" and rep.side == "X"
     assert calls == []
+
+
+def _array_digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+def test_limit_check_mid_regime_golden():
+    # (1,2) on a non-arithmetic chain: the n / v centring and n**(1/kappa)
+    # scale on the T side, and the transfer of b * v**(kappa + 1) to X
+    spec = chains.nonarith_k15()
+    t_rep = limitlaws.limit_check_T(spec, 1000, 1000, limitlaws.child_seed(3, 1))
+    x_rep = limitlaws.limit_check_X(spec, 1000, 1000, seed=3)
+    pinned = [
+        ("T", 33.574318168975026, 0.061841500916591574, "fc573b092d56625e", "6b6da13ed7b7186f"),
+        ("X", 0.41300069651864546, 0.10518212688899242, "891c19cf520388e8", "c26c1a2588bd495e"),
+    ]
+    for rep, (side, b, ks, z_digest, cdf_digest) in zip((t_rep, x_rep), pinned):
+        assert (rep.side, rep.regime, rep.kappa) == (side, "(1,2)", 1.5000000000000004)
+        assert (rep.b, rep.ks, rep.shift) == (b, ks, 0.0)
+        assert _array_digest(rep.normalized) == z_digest
+        assert _array_digest(rep.fitted_cdf) == cdf_digest
 
 
 @pytest.mark.parametrize("check", [limitlaws.limit_check_T, limitlaws.limit_check_X])
