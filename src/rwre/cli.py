@@ -329,23 +329,16 @@ def _cmd_tails(args) -> int:
 
 def _cmd_limit_check(args) -> int:
     spec = envmodel.load_model(args.config)
-    srep = spectral.solve_kappa(spec)
-    kappa = srep.kappa
-    vrep = speedmod.compute_speed(spec, kappa)
     reports = []
     t_report = None
     if args.side in ("T", "both"):
         t_report = limitlaws.limit_check_T(spec, args.n, args.replicas,
                                            limitlaws.child_seed(args.seed, 1),
-                                           kappa=kappa, v=vrep.v or None,
                                            step_cap=args.step_cap)
         reports.append(t_report)
     if args.side in ("X", "both"):
-        reports.append(
-            limitlaws.limit_check_X(spec, args.n, args.replicas, args.seed,
-                                    t_report=t_report, kappa=kappa,
-                                    v=vrep.v or None, step_cap=args.step_cap)
-        )
+        reports.append(limitlaws.limit_check_X(spec, args.n, args.replicas, args.seed,
+                                               t_report=t_report, step_cap=args.step_cap))
     rows = []
     for rep in reports:
         status = "n/a" if rep.passed is None else ("pass" if rep.passed else "FAIL")

@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
+from . import spectral, speed, walksim
 from ._rng import derive_rng
 from .envmodel import EnvironmentSpec, detect_arithmetic
 from .errors import ModelError, NumericalError
@@ -461,12 +462,6 @@ def normalization(
     return center, math.sqrt(n * math.log(n))
 
 
-def _regime(kappa: float) -> tuple[float, str]:
-    """``kappa`` snapped onto 1 or 2 within ``REGIME_TOL``, and its regime."""
-    regime = regime_name(kappa)
-    return {"{1}": 1.0, "{2}": 2.0}.get(regime, kappa), regime
-
-
 # ---------------------------------------------------------------------------
 # End-to-end checks
 # ---------------------------------------------------------------------------
@@ -476,29 +471,40 @@ def _regime(kappa: float) -> tuple[float, str]:
 class LimitCheckReport:
     """Outcome of one limit-law check on the normalized sample.
 
-    ``normalized`` holds ``(sample - center) / scale`` sorted ascending and
-    ``fitted_cdf`` the fitted law at those points.  The fitted law is the
-    regime's limit with scale ``b``, translated by ``shift`` (in normalized
-    units).  The shift is fitted only at the boundary index, where the bulk
-    of the finite-n law sits ``O(1 / log n)`` away from the exact mean
-    centering; it is 0.0 in every other regime.
+    ``normalized`` holds the sample centred and scaled by its side's
+    schedule, sorted ascending, and ``fitted_cdf`` the fitted law at those
+    points.  The fitted law is the regime's limit with scale ``b``,
+    translated by ``shift`` (in normalized units).  The shift is fitted only
+    at the boundary index, where the bulk of the finite-n law sits
+    ``O(1 / log n)`` away from the exact mean centering; it is 0.0 in every
+    other regime.
     """
 
     side: str
     regime: str
     kappa: float
-    n: int
-    replicas: int
     b: float
     ks: float
     ks_threshold: float | None
     passed: bool | None
     censored_fraction: float
-    center: float
-    scale: float
     normalized: np.ndarray = field(repr=False)
     fitted_cdf: np.ndarray = field(repr=False)
     shift: float = 0.0
+
+
+def _report(side: str, regime: str, kappa: float, b: float, z: np.ndarray, cdf: np.ndarray,
+            shift: float = 0.0, censored_fraction: float = 0.0) -> LimitCheckReport:
+    """One side's report: the KS of the sorted sample ``z`` against the
+    fitted law's ``cdf`` there, judged against the side's threshold; index
+    one has no threshold and no verdict."""
+    ks = _ks_distance(z, cdf)
+    threshold = None if regime == "{1}" else {"T": KS_T_THRESHOLD, "X": KS_X_THRESHOLD}[side]
+    return LimitCheckReport(
+        side=side, regime=regime, kappa=kappa, b=b, ks=ks, ks_threshold=threshold,
+        passed=None if threshold is None else bool(ks < threshold),
+        censored_fraction=censored_fraction, normalized=z, fitted_cdf=cdf, shift=shift,
+    )
 
 
 def _warn_if_arithmetic(spec: EnvironmentSpec) -> None:
@@ -521,32 +527,35 @@ def _check_size(n: int, replicas: int) -> None:
                          f"got {replicas}")
 
 
+def _ballistic_speed(spec: EnvironmentSpec, kappa: float, regime: str) -> float | None:
+    """The speed the ``(1,2)`` and ``{2}`` schedules centre on; ``None``
+    in the regimes that do not read it."""
+    return speed.compute_speed(spec, kappa).v if regime in ("(1,2)", "{2}") else None
+
+
 def limit_check_T(
     spec: EnvironmentSpec,
     n: int,
     replicas: int,
     seed: int,
-    kappa: float | None = None,
-    v: float | None = None,
     step_cap: int | None = None,
 ) -> LimitCheckReport:
     """Simulate hitting times, normalize per regime, fit the scale, report KS.
 
-    At the boundary index the location is fitted jointly with the scale
-    (:func:`fit_shift_b`); every other regime fits the scale alone.
+    The tail index is solved from the model (:func:`spectral.solve_kappa`)
+    and snapped onto 1 or 2 within ``REGIME_TOL``; the ballistic regimes
+    read the speed from :func:`speed.compute_speed`.  At the boundary index
+    the location is fitted jointly with the scale (:func:`fit_shift_b`);
+    every other regime fits the scale alone.
     """
-    from . import spectral, speed as speedmod, walksim
-
     _check_size(n, replicas)
-    if kappa is None:
-        kappa = spectral.solve_kappa(spec).kappa
+    kappa = spectral.solve_kappa(spec).kappa
     _warn_if_arithmetic(spec)
-    kappa, regime = _regime(kappa)
-    if regime in ("(1,2)", "{2}") and v is None:
-        v = speedmod.compute_speed(spec, kappa).v
+    regime = regime_name(kappa)
+    kappa = {"{1}": 1.0, "{2}": 2.0}.get(regime, kappa)
+    v = _ballistic_speed(spec, kappa, regime)
 
-    sample = walksim.annealed_hitting_sample(spec, n, replicas, seed, step_cap=step_cap)
-    vals = sample.complete
+    vals = walksim.annealed_hitting_sample(spec, n, replicas, seed, step_cap=step_cap).complete
     censored_fraction = 1.0 - vals.size / replicas
     if censored_fraction > 0.01:
         warnings.warn(
@@ -557,28 +566,11 @@ def limit_check_T(
     center, scale = normalization(kappa, n, v, samples=vals)
     z = np.sort((vals - center) / scale)
     fit = fit_shift_b(z) if regime == "{2}" else fit_b(z, kappa)
-    threshold = None if regime == "{1}" else KS_T_THRESHOLD
-    return LimitCheckReport(
-        side="T",
-        regime=regime,
-        kappa=kappa,
-        n=n,
-        replicas=replicas,
-        b=fit.b,
-        ks=fit.ks,
-        ks_threshold=threshold,
-        passed=None if threshold is None else bool(fit.ks < threshold),
-        censored_fraction=censored_fraction,
-        center=center,
-        scale=scale,
-        normalized=z,
-        fitted_cdf=fit.cdf_at_samples,
-        shift=fit.shift,
-    )
+    return _report("T", regime, kappa, fit.b, z, fit.cdf_at_samples, fit.shift,
+                   censored_fraction)
 
 
 def transfer_T_to_X(
-    kappa: float,
     t_report: LimitCheckReport,
     v: float | None,
     x_samples: np.ndarray,
@@ -586,70 +578,41 @@ def transfer_T_to_X(
 ) -> LimitCheckReport:
     """Check the position law against the transferred hitting-time law.
 
-    The fitted hitting-time scale maps deterministically to the position
-    side: below index one the laws are linked by the inverse-power
-    transform with the same scale; in the ballistic regimes the position
-    fluctuation is ``-v**(1 + 1/kappa)`` times the hitting-time one, so the
-    scale transfers as ``b * v**(kappa + 1)`` and the boundary-index shift
-    as ``-v**(1 + 1/kappa) * shift``.  The position side has no free
-    parameter except at index one, where the scale is fitted on the
-    position samples.
+    ``kappa``, the regime, the scale and the shift are the hitting-time
+    report's; ``v`` is the speed, read only by the ballistic regimes.  The
+    fitted hitting-time scale maps deterministically to the position side:
+    below index one the laws are linked by the inverse-power transform with
+    the same scale; in the ballistic regimes the position fluctuation is
+    ``-v**(1 + 1/kappa)`` times the hitting-time one, so the scale
+    transfers as ``b * v**(kappa + 1)`` and the boundary-index shift as
+    ``-v**(1 + 1/kappa) * shift``.  The position side has no free parameter
+    except at index one, where the scale is fitted on the position samples.
     """
-    kappa, regime = _regime(kappa)
+    kappa, regime, b = t_report.kappa, t_report.regime, t_report.b
     xs = np.asarray(x_samples, dtype=float)
-    b_t = t_report.b
+    ref = StableParams(kappa, 1.0)
     shift = 0.0
-
     if regime == "(0,1)":
-        center, scale = 0.0, float(n) ** kappa
-        z = np.sort((xs - center) / scale)
-        ref = StableParams(kappa, 1.0)
+        z = np.sort(xs / float(n) ** kappa)
         cdf = np.zeros(z.size)
         pos = z > 0
-        cdf[pos] = 1.0 - stable_cdf(ref, z[pos] ** (-1.0 / kappa) * b_t ** (-1.0 / kappa))
-        b_used = b_t
+        cdf[pos] = 1.0 - stable_cdf(ref, z[pos] ** (-1.0 / kappa) * b ** (-1.0 / kappa))
     elif regime == "{1}":
-        center = float(np.median(xs))
-        scale = n / math.log(n) ** 2
-        z = np.sort((xs - center) / scale)
+        z = np.sort((xs - np.median(xs)) / (n / math.log(n) ** 2))
         fit = fit_b(z, 1.0)
-        cdf = fit.cdf_at_samples
-        b_used = fit.b
+        b, cdf = fit.b, fit.cdf_at_samples
     else:
         if v is None or v <= 0:
             raise ModelError("ballistic transfer needs a positive speed")
+        b *= v ** (kappa + 1.0)
         if regime == "(1,2)":
-            center, scale = n * v, float(n) ** (1.0 / kappa)
+            z = np.sort((xs - n * v) / float(n) ** (1.0 / kappa))
+            cdf = 1.0 - stable_cdf(ref, -z * b ** (-1.0 / kappa))
         else:
-            center, scale = n * v, math.sqrt(n * math.log(n))
-        z = np.sort((xs - center) / scale)
-        b_used = b_t * v ** (kappa + 1.0)
-        ref = StableParams(kappa, 1.0)
-        if regime == "(1,2)":
-            cdf = 1.0 - stable_cdf(ref, -z * b_used ** (-1.0 / kappa))
-        else:
+            z = np.sort((xs - n * v) / math.sqrt(n * math.log(n)))
             shift = -(v**1.5) * t_report.shift
-            cdf = stable_cdf(ref, (z - shift) * b_used ** (-1.0 / kappa))
-
-    ks = _ks_distance(z, cdf)
-    threshold = None if regime == "{1}" else KS_X_THRESHOLD
-    return LimitCheckReport(
-        side="X",
-        regime=regime,
-        kappa=kappa,
-        n=n,
-        replicas=xs.size,
-        b=b_used,
-        ks=ks,
-        ks_threshold=threshold,
-        passed=None if threshold is None else bool(ks < threshold),
-        censored_fraction=0.0,
-        center=center,
-        scale=scale,
-        normalized=z,
-        fitted_cdf=cdf,
-        shift=shift,
-    )
+            cdf = stable_cdf(ref, (z - shift) * b ** (-1.0 / kappa))
+    return _report("X", regime, kappa, b, z, cdf, shift)
 
 
 def limit_check_X(
@@ -658,26 +621,19 @@ def limit_check_X(
     replicas: int,
     seed: int,
     t_report: LimitCheckReport | None = None,
-    kappa: float | None = None,
-    v: float | None = None,
     step_cap: int | None = None,
 ) -> LimitCheckReport:
-    """Sample positions at time ``n`` and run the transfer check; without
-    ``t_report``, first run the hitting-time side with ``step_cap``."""
-    from . import spectral, speed as speedmod, walksim
-
+    """Sample positions at time ``n`` and run the transfer check against
+    ``t_report``; without it, first run the hitting-time side on
+    ``child_seed(seed, 1)`` with ``step_cap``.  The tail index and the
+    regime are the hitting-time report's; the ballistic regimes read the
+    speed from :func:`speed.compute_speed`."""
     _check_size(n, replicas)
-    if kappa is None:
-        kappa = t_report.kappa if t_report is not None else spectral.solve_kappa(spec).kappa
-    kappa, regime = _regime(kappa)
-    if regime in ("(1,2)", "{2}") and v is None:
-        v = speedmod.compute_speed(spec, kappa).v
     if t_report is None:
-        t_report = limit_check_T(
-            spec, n, replicas, child_seed(seed, 1), kappa=kappa, v=v, step_cap=step_cap
-        )
+        t_report = limit_check_T(spec, n, replicas, child_seed(seed, 1), step_cap=step_cap)
+    v = _ballistic_speed(spec, t_report.kappa, t_report.regime)
     xs = walksim.annealed_position_sample(spec, n, replicas, child_seed(seed, 2))
-    return transfer_T_to_X(kappa, t_report, v, xs, n)
+    return transfer_T_to_X(t_report, v, xs, n)
 
 
 def child_seed(seed: int, k: int) -> int:

@@ -224,11 +224,8 @@ def test_criterion_10a_limit_law_boundary_index_T_side():
 
 def test_criterion_10b_limit_law_boundary_index_X_side():
     spec = chains.nonarith_k2()
-    kappa = spectral.solve_kappa(spec).kappa
-    v = speed.compute_speed(spec, kappa).v
     t_rep = limitlaws.limit_check_T(spec, 10_000, 2000, seed=1)
-    x_rep = limitlaws.limit_check_X(spec, 10_000, 2000, seed=1, t_report=t_rep,
-                                    kappa=kappa, v=v)
+    x_rep = limitlaws.limit_check_X(spec, 10_000, 2000, seed=1, t_report=t_rep)
     ok = x_rep.ks < 0.07
     assert _verdict("10b boundary-index position law", ok,
                     f"KS={x_rep.ks:.4f} threshold 0.07, transferred b={x_rep.b:.4f}, "
@@ -240,8 +237,8 @@ def test_criterion_10c_limit_law_sub_ballistic():
     # below the 10% stability tolerance
     spec = chains.nonarith_sub1()
     kappa = spectral.solve_kappa(spec).kappa
-    rep3 = limitlaws.limit_check_T(spec, 1_000, 12_000, seed=110, kappa=kappa)
-    rep4 = limitlaws.limit_check_T(spec, 10_000, 12_000, seed=110, kappa=kappa)
+    rep3 = limitlaws.limit_check_T(spec, 1_000, 12_000, seed=110)
+    rep4 = limitlaws.limit_check_T(spec, 10_000, 12_000, seed=110)
     hill = tails.hill_estimator(rep4.normalized, 0.05).index
     med3 = float(np.median(rep3.normalized))
     med4 = float(np.median(rep4.normalized))
