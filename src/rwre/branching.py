@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 GEOMETRIC_CUTOFF = 10_000
+KS_SIGNIFICANCE = 0.01  # a branching-vs-walk p-value below this rejects the identity
 POPULATION_LIMIT = 2**63 - 1
 _PATH_CHUNK = 1 << 16  # uniforms per draw of sample_chain_path
 
@@ -178,7 +179,6 @@ class BlockStats:
 
     products: np.ndarray  # product of rho over the block
     prefix_sums: np.ndarray  # 1 + sum of leading partial products
-    lengths: np.ndarray
 
     def __len__(self) -> int:
         return len(self.products)
@@ -200,7 +200,7 @@ def block_products(log_rho_path: np.ndarray, boundaries: np.ndarray) -> BlockSta
     logr = np.asarray(log_rho_path, dtype=float)
     b = np.asarray(boundaries, dtype=np.int64)
     if len(b) < 2:
-        return BlockStats(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        return BlockStats(np.empty(0), np.empty(0))
     lengths = np.diff(b)
     if np.any(lengths <= 0) or b[0] < 0 or b[-1] > len(logr):
         raise ModelError("block boundaries must be strictly increasing within the path")
@@ -214,7 +214,6 @@ def block_products(log_rho_path: np.ndarray, boundaries: np.ndarray) -> BlockSta
     return BlockStats(
         products=np.exp(cums[b[1:]] - cums[b[:-1]]),
         prefix_sums=np.exp(peak) * np.add.reduceat(t, starts),
-        lengths=lengths,
     )
 
 
@@ -262,11 +261,10 @@ class KSVerdict:
     pvalue: float
     n_left: int
     n_right: int
-    significance: float
 
     @property
     def rejected(self) -> bool:
-        return self.pvalue < self.significance
+        return self.pvalue < KS_SIGNIFICANCE
 
 
 def branching_vs_walk_check(
@@ -274,7 +272,6 @@ def branching_vs_walk_check(
     n: int,
     replicas: int,
     seed: int,
-    significance: float = 0.01,
 ) -> KSVerdict:
     """Two-sample KS test of the excursion-count identity.
 
@@ -294,5 +291,4 @@ def branching_vs_walk_check(
         pvalue=float(res.pvalue),
         n_left=len(walk_sums),
         n_right=replicas,
-        significance=significance,
     )

@@ -350,8 +350,10 @@ def _cmd_limit_check(args) -> int:
             rows.append((rep.side, "sample", f"{x:.10g}", f"{F:.10g}", ""))
         rows.append((rep.side, "summary", f"{rep.b:.10g}", f"{rep.ks:.10g}", rep.regime))
     if args.out:
-        conf = _config_hash(args.config, {"n": args.n, "replicas": args.replicas,
-                                          "side": args.side})
+        params = {"n": args.n, "replicas": args.replicas, "side": args.side}
+        if args.step_cap is not None:  # a CSV written without the flag keeps its hash
+            params["step_cap"] = args.step_cap
+        conf = _config_hash(args.config, params)
         _write_csv(args.out, ["side", "record", "x_or_b", "cdf_or_ks", "regime"],
                    rows, conf, args.seed)
     return EXIT_OK

@@ -477,7 +477,8 @@ class LimitCheckReport:
     translated by ``shift`` (in normalized units).  The shift is fitted only
     at the boundary index, where the bulk of the finite-n law sits
     ``O(1 / log n)`` away from the exact mean centering; it is 0.0 in every
-    other regime.
+    other regime.  ``v`` is the speed the ballistic regimes ``(1,2)`` and
+    ``{2}`` centre on, None in the others.
     """
 
     side: str
@@ -491,10 +492,12 @@ class LimitCheckReport:
     normalized: np.ndarray = field(repr=False)
     fitted_cdf: np.ndarray = field(repr=False)
     shift: float = 0.0
+    v: float | None = None
 
 
 def _report(side: str, regime: str, kappa: float, b: float, z: np.ndarray, cdf: np.ndarray,
-            shift: float = 0.0, censored_fraction: float = 0.0) -> LimitCheckReport:
+            shift: float = 0.0, censored_fraction: float = 0.0,
+            v: float | None = None) -> LimitCheckReport:
     """One side's report: the KS of the sorted sample ``z`` against the
     fitted law's ``cdf`` there, judged against the side's threshold; index
     one has no threshold and no verdict."""
@@ -503,7 +506,7 @@ def _report(side: str, regime: str, kappa: float, b: float, z: np.ndarray, cdf: 
     return LimitCheckReport(
         side=side, regime=regime, kappa=kappa, b=b, ks=ks, ks_threshold=threshold,
         passed=None if threshold is None else bool(ks < threshold),
-        censored_fraction=censored_fraction, normalized=z, fitted_cdf=cdf, shift=shift,
+        censored_fraction=censored_fraction, normalized=z, fitted_cdf=cdf, shift=shift, v=v,
     )
 
 
@@ -527,12 +530,6 @@ def _check_size(n: int, replicas: int) -> None:
                          f"got {replicas}")
 
 
-def _ballistic_speed(spec: EnvironmentSpec, kappa: float, regime: str) -> float | None:
-    """The speed the ``(1,2)`` and ``{2}`` schedules centre on; ``None``
-    in the regimes that do not read it."""
-    return speed.compute_speed(spec, kappa).v if regime in ("(1,2)", "{2}") else None
-
-
 def limit_check_T(
     spec: EnvironmentSpec,
     n: int,
@@ -553,7 +550,7 @@ def limit_check_T(
     _warn_if_arithmetic(spec)
     regime = regime_name(kappa)
     kappa = {"{1}": 1.0, "{2}": 2.0}.get(regime, kappa)
-    v = _ballistic_speed(spec, kappa, regime)
+    v = speed.compute_speed(spec, kappa).v if regime in ("(1,2)", "{2}") else None
 
     vals = walksim.annealed_hitting_sample(spec, n, replicas, seed, step_cap=step_cap).complete
     censored_fraction = 1.0 - vals.size / replicas
@@ -567,19 +564,18 @@ def limit_check_T(
     z = np.sort((vals - center) / scale)
     fit = fit_shift_b(z) if regime == "{2}" else fit_b(z, kappa)
     return _report("T", regime, kappa, fit.b, z, fit.cdf_at_samples, fit.shift,
-                   censored_fraction)
+                   censored_fraction, v)
 
 
 def transfer_T_to_X(
     t_report: LimitCheckReport,
-    v: float | None,
     x_samples: np.ndarray,
     n: int,
 ) -> LimitCheckReport:
     """Check the position law against the transferred hitting-time law.
 
-    ``kappa``, the regime, the scale and the shift are the hitting-time
-    report's; ``v`` is the speed, read only by the ballistic regimes.  The
+    ``kappa``, the regime, the scale, the shift and the speed ``v`` are the
+    hitting-time report's; only the ballistic regimes read ``v``.  The
     fitted hitting-time scale maps deterministically to the position side:
     below index one the laws are linked by the inverse-power transform with
     the same scale; in the ballistic regimes the position fluctuation is
@@ -588,7 +584,7 @@ def transfer_T_to_X(
     ``-v**(1 + 1/kappa) * shift``.  The position side has no free parameter
     except at index one, where the scale is fitted on the position samples.
     """
-    kappa, regime, b = t_report.kappa, t_report.regime, t_report.b
+    kappa, regime, b, v = t_report.kappa, t_report.regime, t_report.b, t_report.v
     xs = np.asarray(x_samples, dtype=float)
     ref = StableParams(kappa, 1.0)
     shift = 0.0
@@ -612,7 +608,7 @@ def transfer_T_to_X(
             z = np.sort((xs - n * v) / math.sqrt(n * math.log(n)))
             shift = -(v**1.5) * t_report.shift
             cdf = stable_cdf(ref, (z - shift) * b ** (-1.0 / kappa))
-    return _report("X", regime, kappa, b, z, cdf, shift)
+    return _report("X", regime, kappa, b, z, cdf, shift, v=v)
 
 
 def limit_check_X(
@@ -625,15 +621,13 @@ def limit_check_X(
 ) -> LimitCheckReport:
     """Sample positions at time ``n`` and run the transfer check against
     ``t_report``; without it, first run the hitting-time side on
-    ``child_seed(seed, 1)`` with ``step_cap``.  The tail index and the
-    regime are the hitting-time report's; the ballistic regimes read the
-    speed from :func:`speed.compute_speed`."""
+    ``child_seed(seed, 1)`` with ``step_cap``.  The tail index, the regime
+    and the speed are the hitting-time report's."""
     _check_size(n, replicas)
     if t_report is None:
         t_report = limit_check_T(spec, n, replicas, child_seed(seed, 1), step_cap=step_cap)
-    v = _ballistic_speed(spec, t_report.kappa, t_report.regime)
     xs = walksim.annealed_position_sample(spec, n, replicas, child_seed(seed, 2))
-    return transfer_T_to_X(t_report, v, xs, n)
+    return transfer_T_to_X(t_report, xs, n)
 
 
 def child_seed(seed: int, k: int) -> int:

@@ -49,7 +49,6 @@ class RadiusResult:
     eigenvector: np.ndarray
     iterations: int  # always 1 (one eigensolve); the benchmark tracer sums it
     residual: float
-    reliable_eigenvector: bool = True
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,8 @@ def spectral_radius(M: np.ndarray) -> RadiusResult:
     also under periodic adjacency.  ``eig`` balances the matrix, which
     inflates the error in the eigenvector entries of states with a small
     column and a large row; one product ``M v / radius`` damps exactly those.
-    For a reducible matrix the eigenvector may vanish on some states and is
-    flagged unreliable.
+    For a reducible matrix the eigenvector may vanish on some states, and
+    the residual is not checked.
     """
     M = np.asarray(M, dtype=float)
     if np.any(M < 0):
@@ -98,13 +97,7 @@ def spectral_radius(M: np.ndarray) -> RadiusResult:
     resid = float(np.max(np.abs(M @ v - lam * v)))
     if reliable and lam > 0 and resid > RESIDUAL_TOL * lam:
         raise NumericalError(f"eigen-residual {resid:.3g} exceeds {RESIDUAL_TOL:g} * radius")
-    return RadiusResult(
-        radius=lam,
-        eigenvector=v,
-        iterations=1,
-        residual=resid,
-        reliable_eigenvector=bool(reliable and np.all(v > 0)),
-    )
+    return RadiusResult(radius=lam, eigenvector=v, iterations=1, residual=resid)
 
 
 def lyapunov_exponent(spec: EnvironmentSpec, beta: float) -> float:
@@ -144,18 +137,16 @@ def moment_bracket(spec: EnvironmentSpec) -> tuple[np.ndarray, float | None, flo
     return lams, None, hi
 
 
-def sub_stochastic_radius(spec: EnvironmentSpec, r: float, kappa: float) -> tuple[float, float]:
+def sub_stochastic_radius(spec: EnvironmentSpec, kappa: float) -> tuple[float, float]:
     """Spectral radius of the tilted between-regenerations kernel, the
-    chain regenerating at ``REGEN_STATE`` with coin ``r``.
+    chain regenerating at ``REGEN_STATE`` with coin ``REGEN_COIN``.
 
     Returns ``(radius, margin)`` where ``margin = 1 - radius`` must be
     positive; a margin below 1e-6 triggers a "regeneration coin too weak"
     warning because downstream block statistics then mix extremely slowly.
     """
-    if not (0.0 < r <= 1.0):
-        raise ModelError(f"regeneration coin must lie in (0, 1], got {r}")
     theta_k = tilt(spec, kappa)
-    theta_k[:, REGEN_STATE] *= 1.0 - r
+    theta_k[:, REGEN_STATE] *= 1.0 - REGEN_COIN
     radius = spectral_radius(theta_k).radius
     margin = 1.0 - radius
     if margin < 1e-6:
@@ -174,10 +165,9 @@ def solve_kappa(spec: EnvironmentSpec) -> SpectralReport:
     bracket, whose grid values are the report's ``lambdas``.  The report
     carries the Perron vector of the kappa-tilted kernel normalized so that
     ``f[REGEN_STATE] * rho[REGEN_STATE]**kappa = 1``, plus the spectral
-    radius of the tilted between-regenerations kernel (coin ``REGEN_COIN``)
-    and its margin below one.  A margin that double precision cannot
-    resolve only warns (:func:`sub_stochastic_radius`): kappa does not
-    depend on it.
+    radius of the tilted between-regenerations kernel and its margin below
+    one.  A margin that double precision cannot resolve only warns
+    (:func:`sub_stochastic_radius`): kappa does not depend on it.
     """
     pi = stationary_distribution(spec.H)
     drift = float(pi @ spec.log_rho())
@@ -205,7 +195,7 @@ def solve_kappa(spec: EnvironmentSpec) -> SpectralReport:
     f_kappa = perron.eigenvector / (
         perron.eigenvector[REGEN_STATE] * spec.rho[REGEN_STATE] ** kappa
     )
-    theta_radius, margin = sub_stochastic_radius(spec, REGEN_COIN, kappa)
+    theta_radius, margin = sub_stochastic_radius(spec, kappa)
 
     return SpectralReport(
         kappa=kappa,

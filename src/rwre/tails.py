@@ -120,7 +120,6 @@ class HillEstimate:
     ci_low: float
     ci_high: float
     order_statistics: int
-    top_fraction: float
 
 
 def hill_estimator(samples: np.ndarray, top_fraction: float) -> HillEstimate:
@@ -154,7 +153,6 @@ def _hill_sorted(x: np.ndarray, top_fraction: float) -> HillEstimate:
         ci_low=index - 1.96 * se,
         ci_high=index + 1.96 * se,
         order_statistics=k,
-        top_fraction=top_fraction,
     )
 
 
@@ -181,7 +179,6 @@ class TailCurve:
     thresholds: np.ndarray
     survival: np.ndarray
     curve: np.ndarray
-    kappa: float
 
     def top_decade_ratio(self) -> float:
         """Max/min of the curve over the best-populated top decade."""
@@ -214,7 +211,7 @@ def _curve_sorted(x: np.ndarray, kappa: float, points: int, decades: float) -> T
         raise NumericalError("sample tail is degenerate")
     ts = np.geomspace(t_lo, t_hi, points)
     sf = (x.size - np.searchsorted(x, ts, side="right")) / x.size
-    return TailCurve(thresholds=ts, survival=sf, curve=ts**kappa * sf, kappa=kappa)
+    return TailCurve(thresholds=ts, survival=sf, curve=ts**kappa * sf)
 
 
 def plain_tail_probability(samples: np.ndarray, threshold: float) -> tuple[float, float]:
@@ -231,7 +228,6 @@ class TiltedTailEstimate:
     std_error: float
     effective_sample_size: float
     successes: int
-    replicas: int
     unreliable: bool
 
 
@@ -276,7 +272,6 @@ def tilted_tail_sampler(
         std_error=se,
         effective_sample_size=ess,
         successes=int(success.sum()),
-        replicas=replicas,
         unreliable=bool(ess < 50),
     )
 
@@ -285,7 +280,6 @@ def tilted_tail_sampler(
 class TailReport:
     """CLI-facing aggregation of the tail diagnostics."""
 
-    n_samples: int
     hill: dict[float, HillEstimate]
     loglog_index: float
     curve: TailCurve
@@ -296,7 +290,6 @@ def tail_report(kappa: float, samples: np.ndarray) -> TailReport:
     index and the tail curve of ``samples``, sorted once for all of them."""
     x = np.sort(np.asarray(samples, dtype=float))
     return TailReport(
-        n_samples=len(samples),
         hill={f: _hill_sorted(x, f) for f in HILL_FRACTIONS},
         loglog_index=_loglog_sorted(x, 0.05),
         curve=_curve_sorted(x, kappa, 61, 3.0),

@@ -4,10 +4,9 @@ Hitting times come two ways:
 
 * ``reference_walks`` — the reference path and the oracle: one uniform per
   step against the site probability, per-replica derived streams.  A
-  record keeps the steps taken, the censoring flag, the final position,
-  the deepest site and the left moves made from every site, which is what
-  ``simulate-walk`` and the per-path identity ``T = n + 2 * (left moves)``
-  read.
+  record keeps the steps taken, the censoring flag, the deepest site and
+  the left moves made from every site, which is what ``simulate-walk`` and
+  the per-path identity ``T = n + 2 * (left moves)`` read.
 * ``annealed_hitting_sample`` — the sampling API: the per-site left-move
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
@@ -80,14 +79,15 @@ class EnvPath:
     spec: EnvironmentSpec
     rng: np.random.Generator
 
-    def extend_left(self, count: int = _EXTEND_CHUNK) -> None:
-        """Grow the window downward by continuing the forward chain."""
+    def extend_left(self) -> None:
+        """Grow the window downward by ``_EXTEND_CHUNK`` sites, continuing
+        the forward chain."""
         new = chain_walk(self.spec.chain.fwd_rows, int(self.states[0]),
-                         self.rng.random(count).tolist())
+                         self.rng.random(_EXTEND_CHUNK).tolist())
         new_states = np.array(new[::-1], dtype=np.int64)
         self.states = np.concatenate([new_states, self.states])
         self.omega = np.concatenate([self.spec.omega[new_states], self.omega])
-        self.left += count
+        self.left += _EXTEND_CHUNK
 
     def extend_right(self, count: int = _EXTEND_CHUNK) -> None:
         """Grow the window upward by continuing the reversed chain."""
@@ -137,7 +137,6 @@ class WalkRecord:
     n_target: int
     left_moves: np.ndarray  # per-site left-move counts for sites deepest..n_target
     deepest_site: int
-    final_position: int
     steps: int  # the hitting time of n_target unless censored
     censored: bool
 
@@ -192,16 +191,7 @@ def run_to_hit(
     U = resume.U.tolist()  # site i at index i + left
     pos, t, deepest = resume.pos, resume.t, resume.deepest
     chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: a lane near its end draws few
-    while pos < n:
-        if t >= step_cap:
-            return WalkRecord(
-                n_target=n,
-                left_moves=np.array(U[deepest + left:], dtype=np.int64),
-                deepest_site=deepest,
-                final_position=pos,
-                steps=t,
-                censored=True,
-            )
+    while pos < n and t < step_cap:
         draws = rng.random(min(chunk, step_cap - t)).tolist()
         chunk = min(2 * chunk, _SCALAR_CHUNK)
         for u in draws:
@@ -224,9 +214,8 @@ def run_to_hit(
         n_target=n,
         left_moves=np.array(U[deepest + left:], dtype=np.int64),
         deepest_site=deepest,
-        final_position=pos,
         steps=t,
-        censored=False,
+        censored=pos < n,
     )
 
 
@@ -234,7 +223,6 @@ def run_to_hit(
 class HittingSample:
     """Annealed hitting-time sample; an entry above the step cap is censored."""
 
-    n: int
     values: np.ndarray
     censored: np.ndarray
 
@@ -258,7 +246,9 @@ def reference_walks(
     Replicas run in lockstep batches of as many lanes as ``_BATCH_BYTES``
     holds; the records are those of ``run_to_hit`` on each replica alone.
     A batch of at most ``_FINISH_LANES`` lanes (at large ``n`` every batch)
-    is walked one replica at a time by ``run_to_hit``.
+    is walked one replica at a time by ``run_to_hit`` on windows from
+    ``sample_environment``, which beats ``_sample_windows`` on few lanes
+    (16 against 40 ms for twelve at ``n = 10**4``).
     """
     if n < 1:
         raise ModelError(f"target site must be >= 1, got {n}")
@@ -282,7 +272,13 @@ def reference_walks(
 def _batch_width(n: int) -> int:
     """Lanes per batch: a lane is given eight int64 or float64 arrays over
     its window (uniforms, states, omega, left moves, its record and room
-    for the buffers to grow), plus its walk uniforms."""
+    for the buffers to grow), plus its walk uniforms.
+
+    Sizing it to the two lockstep buffers alone (16 bytes a site, hand-off
+    at ``2 * omega.nbytes``) keeps the records and cuts a tenth of the CPU
+    of 200 walks to ``n = 1000`` on ``chain-mk-k2``, but raises their peak
+    resident set from 110 to 127 MB, past the benchmark's 10% bound.
+    """
     return max(1, _BATCH_BYTES // (64 * (n + _EXTEND_CHUNK) + 8 * _WALK_CHUNK))
 
 
@@ -359,13 +355,12 @@ class _Lockstep:
         moved = np.flatnonzero(self.U[i, self.lo[i]:self.z + 1])
         return min(0, int(self.lo[i] + moved[0]) - self.z - 1) if moved.size else 0
 
-    def _record(self, i, pos, steps, censored) -> WalkRecord:
+    def _record(self, i, steps, censored) -> WalkRecord:
         z, deepest = self.z, self._deepest(i)
         return WalkRecord(
             n_target=self.n,
             left_moves=self.U[i, z + deepest:z + self.n + 1].copy(),
             deepest_site=deepest,
-            final_position=pos,
             steps=steps,
             censored=censored,
         )
@@ -400,12 +395,13 @@ class _Lockstep:
             for k in np.flatnonzero(done):
                 i = lane[k]
                 hit = t - 2 * int(self.U[i, z + n + 1]) - int(pos[k] - n)
-                records[i] = self._record(i, n, hit, False)
+                records[i] = self._record(i, hit, False)
             if t >= cap:  # censor every live lane
                 for k in np.flatnonzero(~done):
-                    records[lane[k]] = self._record(lane[k], int(pos[k]), t, True)
+                    records[lane[k]] = self._record(lane[k], t, True)
                 done[:] = True
             lane, idx, pos = lane[~done], idx[~done], pos[~done]
+            # three lane buffers' worth, as _batch_width budgets
             if lane.size <= _FINISH_LANES or 3 * self.omega.nbytes > _BATCH_BYTES:
                 paused = {int(i): _WalkState(int(pos[k]), t, self._deepest(i),
                                              self.U[i, self.lo[i]:z + n + 1].copy())
@@ -513,7 +509,7 @@ def annealed_hitting_sample(
 
     values = n + 2.0 * total
     censored = np.zeros(replicas, dtype=bool) if step_cap is None else values > step_cap
-    return HittingSample(n=n, values=values, censored=censored)
+    return HittingSample(values=values, censored=censored)
 
 
 def annealed_position_sample(

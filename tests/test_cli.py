@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rwre import cli, walksim
+from rwre import cli, limitlaws, walksim
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 K2 = str(MODELS / "chain-mk-k2.toml")
@@ -376,6 +376,65 @@ def test_limit_check_x_side_passes_step_cap(monkeypatch, capsys):
                    "--seed", 6, "--side", "X", "--step-cap", 10**7) == 0
     assert caps == [10**7]
     assert "X-side regime (0,1)" in capsys.readouterr().out
+
+
+def test_limit_check_step_cap_enters_config_hash(tmp_path):
+    # the cap decides which hitting times are censored, so it is part of the config
+    def hash_line(*cap):
+        out = tmp_path / "limit.csv"
+        assert run_cli("limit-check", "--config", SUB1, "--n", 100, "--replicas", 1000,
+                       "--seed", 3, "--out", out, *cap) == 0
+        return out.read_text().splitlines()[-1]
+
+    conf = cli._config_hash(SUB1, {"n": 100, "replicas": 1000, "side": "T"})
+    plain = f"# config_hash={conf} seed=3"
+    assert hash_line() == plain
+    capped = {hash_line("--step-cap", cap) for cap in (10**7, 10**8)}
+    assert len(capped) == 2 and plain not in capped
+
+
+def test_limit_check_both_sides_solve_the_speed_once(monkeypatch, capsys):
+    # the X side reads the speed off the T report
+    calls = []
+    solve = limitlaws.speed.compute_speed
+    monkeypatch.setattr(limitlaws.speed, "compute_speed",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    assert run_cli("limit-check", "--config", NONARITH_K2, "--n", 100, "--replicas", 1000,
+                   "--side", "both", "--seed", 1) == 0
+    assert capsys.readouterr().out.count("-side regime {2}: b = ") == 2
+    assert len(calls) == 1
+
+
+def test_traced_round_reads_what_the_tracer_binds(monkeypatch):
+    # perfbench's tracer binds parameters by name (n, replicas, n_steps,
+    # horizon) and reads result attributes (.steps, .iterations, len()); a
+    # rename breaks only a traced benchmark round, so run a small one here
+    monkeypatch.syspath_prepend(str(MODELS.parent / "perfbench"))
+    import tracer
+    from rwre import branching, envmodel
+
+    tr = tracer.Tracer()
+    tracer.install_rwre(tr)
+    try:
+        tr.active = True
+        for argv in (("validate", "--config", K2),
+                     ("kappa", "--config", K2),
+                     ("speed", "--config", K2),
+                     ("simulate-walk", "--config", K2, "--n", 30, "--replicas", 60),
+                     ("simulate-branching", "--config", K2, "--n", 2000),
+                     ("tails", "--config", K2, "--samples", 2000, "--threshold", 50),
+                     ("limit-check", "--config", NONARITH_K2, "--n", 100,
+                      "--replicas", 1000, "--side", "both")):
+            assert run_cli(*argv) == 0
+        branching.branching_vs_walk_check(envmodel.load_model(K2), 20, 100, 0)
+        tr.active = False
+        metrics = tracer.layer_metrics(tr.spans, tr.counts)
+    finally:
+        tr.uninstall()
+    assert all(np.isfinite(value) for value, _ in metrics.values())
+    for name in ("walksim.run_to_hit.steps", "branching.block_products.blocks",
+                 "spectral.power_iterations"):
+        assert metrics[name][0] > 0, name
 
 
 @pytest.mark.parametrize("config, n, replicas", [

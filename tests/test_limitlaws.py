@@ -414,11 +414,11 @@ def test_normalization_requires_inputs():
         normalization(1.5, 100)
 
 
-def _fake_t_report(kappa, b, z, shift=0.0):
+def _fake_t_report(kappa, b, z, shift=0.0, v=None):
     return limitlaws.LimitCheckReport(
         side="T", regime=limitlaws.regime_name(kappa), kappa=kappa, b=b, ks=0.0,
         ks_threshold=0.05, passed=True, censored_fraction=0.0,
-        normalized=np.sort(z), fitted_cdf=np.linspace(0, 1, len(z)), shift=shift,
+        normalized=np.sort(z), fitted_cdf=np.linspace(0, 1, len(z)), shift=shift, v=v,
     )
 
 
@@ -428,13 +428,13 @@ def test_transfer_gaussian_synthetic_round_trip():
         rng = derive_rng(4, 0)
         s = rng.normal(shift_t, math.sqrt(2 * b_t), 4000)  # T-side limit draws
         xs = n * v - v ** (1.0 + 1.0 / kappa) * math.sqrt(n * math.log(n)) * s
-        t_rep = _fake_t_report(kappa, b_t, s, shift=shift_t)
-        rep = limitlaws.transfer_T_to_X(t_rep, v, xs, n)
+        t_rep = _fake_t_report(kappa, b_t, s, shift=shift_t, v=v)
+        rep = limitlaws.transfer_T_to_X(t_rep, xs, n)
         assert rep.ks < 0.05
         assert rep.b == pytest.approx(b_t * v**3, rel=1e-12)
         assert rep.shift == pytest.approx(-(v**1.5) * shift_t, abs=1e-15)
     # the transferred shift is what makes the shifted law fit
-    unshifted = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s), v, xs, n)
+    unshifted = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s, v=v), xs, n)
     assert unshifted.ks > 0.05 > rep.ks
 
 
@@ -443,7 +443,7 @@ def test_transfer_mid_regime_synthetic():
     s = levy_stable.rvs(kappa, 1.0, loc=0.0, scale=b_t ** (1 / kappa), size=4000,
                         random_state=np.random.default_rng(7))
     xs = n * v - v ** (1.0 + 1.0 / kappa) * n ** (1.0 / kappa) * s
-    rep = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s), v, xs, n)
+    rep = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s, v=v), xs, n)
     assert rep.ks < 0.05
     assert rep.b == pytest.approx(b_t * v ** (kappa + 1.0), rel=1e-12)
     assert rep.shift == 0.0
@@ -454,7 +454,7 @@ def test_transfer_heavy_regime_synthetic():
     s = levy_stable.rvs(kappa, 1.0, loc=0.0, scale=b_t ** (1 / kappa), size=4000,
                         random_state=np.random.default_rng(8))
     xs = n**kappa * s ** (-kappa)  # inverse-power transform of the T-side law
-    rep = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s), None, xs, n)
+    rep = limitlaws.transfer_T_to_X(_fake_t_report(kappa, b_t, s), xs, n)
     assert rep.ks < 0.05
     assert rep.b == b_t
 

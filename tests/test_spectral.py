@@ -50,14 +50,12 @@ def test_spectral_radius_2x2_closed_form():
     res = spectral.spectral_radius(M)
     assert res.radius == pytest.approx(expected, abs=1e-12)
     assert np.max(np.abs(M @ res.eigenvector - res.radius * res.eigenvector)) < 1e-10
-    assert res.reliable_eigenvector
 
 
 def test_spectral_radius_identity_and_diagonal():
     assert spectral.spectral_radius(np.eye(3)).radius == pytest.approx(1.0)
     res = spectral.spectral_radius(np.diag([2.0, 0.5]))
     assert res.radius == pytest.approx(2.0, abs=1e-12)
-    assert not res.reliable_eigenvector
 
 
 def test_spectral_radius_periodic():
@@ -157,27 +155,10 @@ def test_solve_kappa_light_tails():
 
 def test_sub_stochastic_radius_k1_frozen():
     spec = chains.chain_mk_k1()
-    radius, margin = spectral.sub_stochastic_radius(spec, 0.5, 1.0)
+    radius, margin = spectral.sub_stochastic_radius(spec, 1.0)
     expected = (1.0 + math.sqrt(0.6)) / 2.0  # radius of [[0.2,0.4],[0.15,0.8]]
     assert radius == pytest.approx(expected, abs=1e-10)
     assert margin == pytest.approx(1 - expected, abs=1e-10)
-
-
-def test_sub_stochastic_radius_full_coin_single_state():
-    spec = chains.single_state(0.5)
-    radius, _ = spectral.sub_stochastic_radius(spec, 1.0, 1.0)
-    assert radius == pytest.approx(0.0, abs=1e-15)
-
-
-def test_sub_stochastic_radius_rejects_zero_coin():
-    with pytest.raises(ModelError):
-        spectral.sub_stochastic_radius(chains.chain_mk_k1(), 0.0, 1.0)
-
-
-def test_sub_stochastic_radius_weak_coin_warns():
-    spec = chains.chain_mk_k1()
-    with pytest.warns(RuntimeWarning, match="too weak"):
-        spectral.sub_stochastic_radius(spec, 1e-12, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +279,9 @@ def test_spectral_radius_matches_eigvals(M):
     res = spectral.spectral_radius(M)
     expected = float(np.max(np.abs(np.linalg.eigvals(M))))
     assert res.radius == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    if res.reliable_eigenvector:
-        v = res.eigenvector
+    v = res.eigenvector
+    if envmodel.is_irreducible(M) and np.all(v > 0):
         assert np.max(np.abs(M @ v - res.radius * v)) <= 1e-10 * res.radius
-        assert np.all(v > 0)
 
 
 @pytest.mark.filterwarnings("ignore:regeneration coin too weak")

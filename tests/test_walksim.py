@@ -191,7 +191,7 @@ def test_run_to_hit_degenerate_always_right():
     env = walksim.EnvPath(left=0, right=10, omega=np.ones(11), states=np.zeros(11, dtype=np.int64),
                           spec=chains.single_state(1.0), rng=derive_rng(1, 1))
     rec = walksim.run_to_hit(env, 10, derive_rng(1, 0))
-    assert (rec.steps, rec.final_position, rec.deepest_site, rec.censored) == (10, 10, 0, False)
+    assert (rec.steps, rec.deepest_site, rec.censored) == (10, 0, False)
     assert rec.left_moves.tolist() == [0] * 11
 
 
@@ -212,7 +212,6 @@ def test_budget_exhaustion_reports_partial_record():
     rec = walksim.run_to_hit(env, 1000, derive_rng(7, 1), step_cap=50)
     assert rec.censored
     assert rec.steps == 50
-    assert rec.final_position < 1000
     assert not rec.identity_holds
 
 
@@ -283,7 +282,7 @@ def _alone(spec, n, replicas, seed, step_cap=walksim.DEFAULT_STEP_CAP):
 def _assert_same_records(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for field in ("n_target", "deepest_site", "final_position", "steps", "censored"):
+        for field in ("n_target", "deepest_site", "steps", "censored"):
             assert getattr(a, field) == getattr(b, field), field
         x, y = a.left_moves, b.left_moves
         assert x.dtype == y.dtype and np.array_equal(x, y), "left_moves"
@@ -403,6 +402,6 @@ def test_censoring_just_below_window_keeps_left_moves():
     spec = chains.single_state(9.0)
     env = walksim.sample_environment(spec, 0, 9, derive_rng(4, 0))
     rec = walksim.run_to_hit(env, 10, derive_rng(4, 1), step_cap=1)
-    assert rec.censored and rec.final_position == rec.deepest_site == -1
+    assert rec.censored and rec.deepest_site == -1
     assert rec.left_moves.tolist() == [0, 1] + [0] * 10
     assert env.left == 64
