@@ -127,6 +127,24 @@ def test_position_sample_golden_off_window_multiple(monkeypatch, spec, n_steps, 
     assert _sha(x) == digest
 
 
+def _wide(k):
+    # k states: rows 0.5 * Dirichlet(1) + 0.5 / k, omega uniform on [0.4, 0.8]
+    rng = np.random.default_rng(k)
+    H = 0.5 * rng.dirichlet(np.ones(k), size=k) + 0.5 / k
+    return envmodel.EnvironmentSpec(states=tuple(f"s{i}" for i in range(k)), H=H,
+                                    omega=rng.uniform(0.4, 0.8, k), epsilon=0.05)
+
+
+@pytest.mark.parametrize("k, lo_hi, digest", [
+    (256, (26, 116), "7c19b88ba3b8d683"),  # the last chain whose states fit in one byte
+    (257, (16, 110), "dfd2eb4533ccd3c8"),
+])
+def test_position_sample_golden_wide_chain(k, lo_hi, digest):
+    x = walksim.annealed_position_sample(_wide(k), 400, 40, seed=3)
+    assert (x.min(), x.max()) == lo_hi
+    assert _sha(x) == digest
+
+
 def test_blocks_sample_golden():
     h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
     assert _sha(h.values) == "57614ffa1aaf7a02"
