@@ -546,6 +546,8 @@ def limit_check_T(
     every other regime fits the scale alone.
     """
     _check_size(n, replicas)
+    if step_cap is not None and step_cap < n:  # a walk to n takes at least n steps
+        raise ModelError(f"step cap {step_cap} is below the target n = {n}")
     kappa = spectral.solve_kappa(spec).kappa
     _warn_if_arithmetic(spec)
     regime = regime_name(kappa)

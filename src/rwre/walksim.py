@@ -25,6 +25,8 @@ a batch to the scalar loop of ``run_to_hit``; every record equals the one
 
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, grown in place, edges tested on a countdown.
+The buffer holds each site's chain state in the narrowest unsigned type
+(one byte a site and lane up to 256 states); a step reads ``omega`` off it.
 The steps before a countdown runs out draw their uniforms in one call, as
 does each growth of the window.
 """
@@ -523,18 +525,20 @@ def annealed_position_sample(
     Replicas run in batches of ``_POSITION_BATCH`` lanes, batch ``b`` on the
     stream ``derive_rng(seed, b)``; a batch's lanes step in lockstep, one
     uniform each per step.  Their environments share one site-major buffer:
-    row ``r`` holds every lane's ``omega`` at one site, and a lane at row
-    ``r`` reads flat index ``r * lanes + lane``.  After a step that leaves a
-    lane on a window edge, that side grows by ``_EXTEND_CHUNK`` sites (left
-    before right) from the kept edge states, in place, or into a copy with
-    a window's height of head-room added on both sides once a side runs
-    short.  A lane moves one site per step, so the edges are re-measured
-    only when a countdown, the distance from the nearest edge to its
-    closest lane, runs out.  The steps up to then form a segment: no edge
-    grows inside it, so its uniforms come from one ``rng.random((steps,
-    lanes))`` call, row by row the same stream as one call per step.  Each
-    growth draws its ``_EXTEND_CHUNK`` rows of chain uniforms in one call
-    too.  Deterministic for fixed ``(spec, n_steps, seed)``.
+    row ``r`` holds every lane's chain state at one site, in the narrowest
+    unsigned type that holds ``n_states - 1``, and a lane at row ``r`` reads
+    flat index ``r * lanes + lane`` and then that state's ``omega``.  After
+    a step that leaves a lane on a window edge, that side grows by
+    ``_EXTEND_CHUNK`` sites (left before right) from the kept edge states,
+    in place, or into a copy with a window's height of head-room added on
+    both sides once a side runs short.  A lane moves one site per step, so
+    the edges are re-measured only when a countdown, the distance from the
+    nearest edge to its closest lane, runs out.  The steps up to then form
+    a segment: no edge grows inside it, so its uniforms come from one
+    ``rng.random((steps, lanes))`` call, row by row the same stream as one
+    call per step.  Each growth draws its ``_EXTEND_CHUNK`` rows of chain
+    uniforms in one call too.  Deterministic for fixed
+    ``(spec, n_steps, seed)``.
     """
     if n_steps < 0 or replicas < 0:
         raise ModelError("step count and replicas must be nonnegative")
@@ -555,20 +559,21 @@ def _position_batch(spec, n_steps, lanes, rng):
     def fill(rows, cum, s):
         # one lockstep chain move from ``s`` per buffer row, uniforms drawn at once
         for r, u in zip(rows, rng.random((len(rows), lanes))):
-            s = chain_move(cum, s, u)
-            spec.omega.take(s, out=buf[r], mode="clip")
+            buf[r] = s = chain_move(cum, s, u)
         return s
 
     s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
     origin, lo, hi = 2 * chunk, chunk, 3 * chunk  # buffer rows of sites 0, -left, right
-    buf = np.empty((4 * chunk + 1, lanes))
-    buf[origin] = spec.omega[s0]
+    state = np.min_scalar_type(spec.n_states - 1)  # a site's chain state, one byte up to 256
+    buf = np.empty((4 * chunk + 1, lanes), dtype=state)
+    buf[origin] = s0
     s_lo = fill(range(origin - 1, lo - 1, -1), table.cum_fwd, s0)
     s_hi = fill(range(origin + 1, hi + 1), table.cum_rev, s0)
     idx = origin * lanes + np.arange(lanes)
     # step buffers; take's default mode would copy through a temporary, and
     # every index here lies inside its table, so "clip" never clips
-    om, right, step = np.empty(lanes), np.empty(lanes, dtype=bool), np.empty_like(idx)
+    st, om = np.empty(lanes, dtype=state), np.empty(lanes)
+    right, step = np.empty(lanes, dtype=bool), np.empty_like(idx)
     move, side = np.array([-lanes, lanes]), right.view(np.uint8)  # move[side]: buffer offset
     countdown = chunk
     while True:
@@ -576,7 +581,8 @@ def _position_batch(spec, n_steps, lanes, rng):
         seg = min(countdown, n_steps)
         flat = buf.ravel()
         for u in rng.random((seg, lanes)):
-            flat.take(idx, out=om, mode="clip")
+            flat.take(idx, out=st, mode="clip")
+            spec.omega.take(st, out=om, mode="clip")
             np.less(u, om, out=right)
             move.take(side, out=step, mode="clip")
             idx += step
@@ -585,7 +591,7 @@ def _position_batch(spec, n_steps, lanes, rng):
             return idx // lanes - origin
         if lo < chunk or hi + chunk >= len(buf):  # a side is short of head-room
             shift = hi - lo + 1
-            new = np.empty((len(buf) + 2 * shift, lanes))
+            new = np.empty((len(buf) + 2 * shift, lanes), dtype=state)
             new[lo + shift:hi + shift + 1] = buf[lo:hi + 1]
             buf, lo, hi, origin = new, lo + shift, hi + shift, origin + shift
             idx += shift * lanes

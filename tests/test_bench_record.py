@@ -28,3 +28,13 @@ def test_worse_past_the_relative_bound_only():
     assert verdict(PARENT, [p * 1.2 for p in PARENT], 0.15) == "worse"
     assert verdict(PARENT, [p * 1.1 for p in PARENT], 0.15) == "same"
     assert verdict(PARENT, [p * 1.1 for p in PARENT], 0.05) == "worse"
+
+
+def test_last_result_reads_the_final_stdout_line():
+    stdout = ("# limit-check seed=0 rounds=4 round_cpu_s=[2.05, 2.04] steal_ticks=0 "
+              "record=perfbench/out/limit-check-seed0.json\n"
+              '{"correct": true, "attempted": 12, "failed": 0, "metrics": '
+              '{"walksim.position.ns_per_lane_step": {"value": 9.5, "unit": "ns"}}}\n')
+    out = bench_record.last_result(stdout)
+    assert out["correct"] is True and out["failed"] == 0
+    assert out["metrics"]["walksim.position.ns_per_lane_step"] == {"value": 9.5, "unit": "ns"}

@@ -378,6 +378,17 @@ def test_limit_check_x_side_passes_step_cap(monkeypatch, capsys):
     assert "X-side regime (0,1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("side", ["T", "X", "both"])
+def test_limit_check_rejects_step_cap_below_target(monkeypatch, capsys, side):
+    # a walk to n takes at least n steps, so a cap below n censors every hitting time
+    calls = []
+    monkeypatch.setattr(walksim, "annealed_hitting_sample", lambda *a, **k: calls.append(a))
+    assert run_cli("limit-check", "--config", NONARITH_K2, "--n", 1000, "--replicas", 1000,
+                   "--seed", 3, "--side", side, "--step-cap", 999) == 1
+    assert "step cap 999 is below the target n = 1000" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_limit_check_step_cap_enters_config_hash(tmp_path):
     # the cap decides which hitting times are censored, so it is part of the config
     def hash_line(*cap):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ def test_position_sample_golden_wide_chain(k, lo_hi, digest):
     x = walksim.annealed_position_sample(_wide(k), 400, 40, seed=3)
     assert (x.min(), x.max()) == lo_hi
     assert _sha(x) == digest
+
+
+def test_position_window_costs_one_byte_per_site_and_lane():
+    # 512 lanes walk about 2,400 sites right in 3000 steps; one-byte states,
+    # with the window's growth copies, peak near 5 MB, 8-byte omegas at 35 MB
+    spec = chains.nonarith_k2()
+    walksim.annealed_position_sample(spec, 10, 8, seed=5)
+    tracemalloc.start()
+    try:
+        walksim.annealed_position_sample(spec, 3000, 512, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_blocks_sample_golden():

@@ -23,7 +23,10 @@ metric's relative ``bound`` in ``BENCHMARK.json`` (read, never written),
 Each tree must be a git checkout with no uncommitted changes to tracked
 files, so that the recorded commit is the code that ran (perfbench imports
 rwre from the tree's ``src/``).  Every run's own metrics, correctness and
-failure count are kept next to the medians.
+failure count are kept next to the medians.  With ``--trace``, one more
+run per tree and workload, ``--trace 1`` on the first seed, records the
+per-layer metrics under ``layers``; the medians and verdicts read only the
+untraced runs.
 """
 
 from __future__ import annotations
@@ -40,11 +43,20 @@ METRICS = ("cpu_s", "setup_s", "peak_rss_mb")
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def last_result(stdout: str) -> dict:
+    """The result object that ``perfbench/run.py`` prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def perfbench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    out = json.loads(res.stdout.strip().splitlines()[-1])
+    return last_result(res.stdout)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    out = perfbench(tree, workload, seed)
     return {"seed": seed, "correct": out["correct"], "failed": out["failed"],
             **{m: out["metrics"][m]["value"] for m in METRICS}}
 
@@ -101,6 +113,8 @@ def main(argv=None) -> None:
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
+    p.add_argument("--trace", action="store_true",
+                   help="also record each tree's per-layer metrics from one traced run")
     args = p.parse_args(argv)
     bounds = {m["name"]: m["bound"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -121,6 +135,9 @@ def main(argv=None) -> None:
                 **{m: statistics.median(r[m] for r in runs[label]) for m in METRICS},
                 "quartiles": {m: quartiles([r[m] for r in runs[label]]) for m in METRICS},
                 "runs": runs[label]}
+            if args.trace:
+                result["trees"][label]["workloads"][workload]["layers"] = perfbench(
+                    trees[label], workload, args.seeds[0], trace=1)["metrics"]
         if {"parent", "change"} <= trees.keys():
             result.setdefault("pair_wins", {})[workload] = pair_wins(runs["parent"],
                                                                      runs["change"])
