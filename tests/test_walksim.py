@@ -147,8 +147,8 @@ def test_position_sample_golden_wide_chain(k, lo_hi, digest):
 
 
 def test_position_window_costs_one_byte_per_site_and_lane():
-    # 512 lanes walk about 2,400 sites right in 3000 steps; one-byte states,
-    # with the window's growth copies, peak near 5 MB, 8-byte omegas at 35 MB
+    # 512 lanes walk about 2,400 sites right in 3000 steps: one-byte states
+    # with the window's growth copies peak near 5 MB, 8-byte ones would not fit
     spec = chains.nonarith_k2()
     walksim.annealed_position_sample(spec, 10, 8, seed=5)
     tracemalloc.start()
