@@ -38,3 +38,15 @@ def test_last_result_reads_the_final_stdout_line():
     out = bench_record.last_result(stdout)
     assert out["correct"] is True and out["failed"] == 0
     assert out["metrics"]["walksim.position.ns_per_lane_step"] == {"value": 9.5, "unit": "ns"}
+
+
+def test_layers_summarise_the_metrics_every_traced_run_reports():
+    runs = [{"seed": 0, "correct": True, "failed": 0, "a.ns": 3.0, "b.calls": 2},
+            {"seed": 1, "correct": True, "failed": 0, "a.ns": 1.0},
+            {"seed": 2, "correct": False, "failed": 1, "a.ns": 2.0, "b.calls": 2}]
+    names = bench_record.layer_names(runs)
+    assert names == ["a.ns"]
+    table = bench_record.summary(runs, names)
+    assert table["a.ns"] == 2.0 and table["quartiles"]["a.ns"] == [1.5, 2.5]
+    assert [(r["correct"], r["failed"]) for r in table["runs"]] == [(True, 0), (True, 0),
+                                                                    (False, 1)]

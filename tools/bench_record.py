@@ -23,10 +23,16 @@ metric's relative ``bound`` in ``BENCHMARK.json`` (read, never written),
 Each tree must be a git checkout with no uncommitted changes to tracked
 files, so that the recorded commit is the code that ran (perfbench imports
 rwre from the tree's ``src/``).  Every run's own metrics, correctness and
-failure count are kept next to the medians.  With ``--trace``, one more
-run per tree and workload, ``--trace 1`` on the first seed, records the
-per-layer metrics under ``layers``; the medians and verdicts read only the
-untraced runs.
+failure count are kept next to the medians.
+
+Each seed also makes one ``--trace 1 --seconds 0`` run per tree, in the
+same alternating order: one timed round, then the traced round whose
+per-layer metrics go, with their medians and quartiles, under ``layers``
+(``layer_pair_wins`` counts their pairs as ``pair_wins`` does).  The
+tracer's unit costs are raw CPU, not scaled to the host's reference speed
+as ``cpu_s`` is, so a single traced round per tree can give a layer change
+the wrong sign; they are compared here only paired and repeated.  The
+medians and verdicts of the end-to-end metrics read only the untraced runs.
 """
 
 from __future__ import annotations
@@ -48,17 +54,17 @@ def last_result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def perfbench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` run: its seed, correctness, failure count and
+    metric values (the end-to-end ones untraced, the per-layer ones traced)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", str(trace)]
-    res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return last_result(res.stdout)
-
-
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    out = perfbench(tree, workload, seed)
+           "--seed", str(seed), "--trace", str(int(trace))]
+    if trace:  # the layers read only the traced round: one timed round before it will do
+        cmd += ["--seconds", "0"]
+    out = last_result(subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                                     check=True).stdout)
     return {"seed": seed, "correct": out["correct"], "failed": out["failed"],
-            **{m: out["metrics"][m]["value"] for m in METRICS}}
+            **{m: v["value"] for m, v in out["metrics"].items()}}
 
 
 def git(tree: Path, *args: str) -> str:
@@ -86,12 +92,24 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def pair_wins(parent: list[dict], change: list[dict]) -> dict:
+def pair_wins(parent: list[dict], change: list[dict], metrics=METRICS) -> dict:
     """Per metric, the seeds on which each tree was lower; ties count for neither."""
     pairs = list(zip(parent, change, strict=True))  # the same seeds, in the same order
     return {m: {"change": sum(c[m] < p[m] for p, c in pairs),
                 "parent": sum(p[m] < c[m] for p, c in pairs),
-                "pairs": len(pairs)} for m in METRICS}
+                "pairs": len(pairs)} for m in metrics}
+
+
+def summary(runs: list[dict], metrics) -> dict:
+    """Median and quartiles of each metric over the runs, and the runs."""
+    return {**{m: statistics.median(r[m] for r in runs) for m in metrics},
+            "quartiles": {m: quartiles([r[m] for r in runs]) for m in metrics},
+            "runs": runs}
+
+
+def layer_names(runs: list[dict]) -> list[str]:
+    """The per-layer metrics that every traced run reports."""
+    return sorted(set.intersection(*(r.keys() - {"seed", "correct", "failed"} for r in runs)))
 
 
 def verdict(parent: list[float], change: list[float], bound: float) -> str:
@@ -113,8 +131,6 @@ def main(argv=None) -> None:
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
-    p.add_argument("--trace", action="store_true",
-                   help="also record each tree's per-layer metrics from one traced run")
     args = p.parse_args(argv)
     bounds = {m["name"]: m["bound"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -125,22 +141,23 @@ def main(argv=None) -> None:
         for label, path in trees.items()}}
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label in trees}
+        traced = {label: [] for label in trees}
         for k, seed in enumerate(args.seeds):
             order = list(trees.items())
-            for label, path in order[::-1] if k % 2 else order:
-                runs[label].append(run_once(path, workload, seed))
-                print(label, workload, runs[label][-1], file=sys.stderr, flush=True)
+            for trace, log in ((False, runs), (True, traced)):
+                for label, path in order[::-1] if k % 2 else order:
+                    log[label].append(run_once(path, workload, seed, trace))
+                    print(label, workload, "traced" if trace else "untraced", log[label][-1],
+                          file=sys.stderr, flush=True)
+        layers = layer_names([r for label in trees for r in traced[label]])
         for label in trees:
             result["trees"][label]["workloads"][workload] = {
-                **{m: statistics.median(r[m] for r in runs[label]) for m in METRICS},
-                "quartiles": {m: quartiles([r[m] for r in runs[label]]) for m in METRICS},
-                "runs": runs[label]}
-            if args.trace:
-                result["trees"][label]["workloads"][workload]["layers"] = perfbench(
-                    trees[label], workload, args.seeds[0], trace=1)["metrics"]
+                **summary(runs[label], METRICS), "layers": summary(traced[label], layers)}
         if {"parent", "change"} <= trees.keys():
             result.setdefault("pair_wins", {})[workload] = pair_wins(runs["parent"],
                                                                      runs["change"])
+            result.setdefault("layer_pair_wins", {})[workload] = pair_wins(
+                traced["parent"], traced["change"], layers)
             result.setdefault("verdict", {})[workload] = {
                 m: verdict([r[m] for r in runs["parent"]], [r[m] for r in runs["change"]],
                            bounds[m]) for m in METRICS}
