@@ -555,6 +555,9 @@ def limit_check_T(
     v = speed.compute_speed(spec, kappa).v if regime in ("(1,2)", "{2}") else None
 
     vals = walksim.annealed_hitting_sample(spec, n, replicas, seed, step_cap=step_cap).complete
+    if vals.size < MIN_FIT_SAMPLES:
+        raise ModelError(f"step cap {step_cap} censored {replicas - vals.size} of {replicas} "
+                         f"hitting times; the fit needs at least {MIN_FIT_SAMPLES} uncensored")
     censored_fraction = 1.0 - vals.size / replicas
     if censored_fraction > 0.01:
         warnings.warn(

@@ -435,16 +435,25 @@ class _Lockstep:
 
 
 def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:
-    """Negative-binomial left-move counts, checked before the draw.
+    """Negative-binomial left-move counts NB(size, p), checked before the draw.
 
-    numpy refuses a draw whose mean ``size (1 - p) / p`` nears 2**63 (its
-    Poisson rate limit).  The count has exploded long before that, so a
-    mean bound ``max(size) * max_odds`` above ``_EXPLOSION_LIMIT`` is a
-    ``NumericalError``.  The check consumes no draws.
+    Each lane's right steps before its first left step are geometric,
+    ``F = floor(log1p(-U) / log p)``, from one uniform (Devroye 1986, ch.
+    X); a lane with ``F >= size`` makes no left move, and the others make
+    ``1 + NB(size - F, p)``, drawn by numpy in one call on those lanes in
+    lane order.  numpy refuses a draw whose mean ``size (1 - p) / p`` nears
+    2**63 (its Poisson rate limit).  The count has exploded long before
+    that, so a mean bound ``max(size) * max_odds`` above
+    ``_EXPLOSION_LIMIT`` is a ``NumericalError``.  The check consumes no
+    draws.
     """
     if np.max(size, initial=0) * max_odds > _EXPLOSION_LIMIT:
         raise NumericalError("left-move count explosion")
-    return rng.negative_binomial(size, p)
+    first = np.floor(np.log1p(-rng.random(size.size)) / np.log(p))
+    fail = np.flatnonzero(first < size)
+    out = np.zeros(size.size, dtype=np.int64)
+    out[fail] = 1 + rng.negative_binomial(size[fail] - first[fail].astype(np.int64), p[fail])
+    return out
 
 
 def forced_crossings(

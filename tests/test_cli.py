@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -312,18 +313,23 @@ def test_limit_check_summary_rows(tmp_path, capsys):
     assert lines[-1].startswith("# config_hash=")
 
 
-@pytest.mark.parametrize("model, seed, digest", [
-    ("nonarith-sub1", 3, "9fa9e3fd82453bd64ebe2edffcd6e364f3e25e0ddeb3810006e597a4c79bf2f7"),
+# sha256 of `limit-check --n 1000 --replicas 1000 --side both` by (model, seed),
+# kept out of the test ids so that a re-pin renames no test
+LIMIT_CHECK_GOLDEN = {
+    ("nonarith-sub1", 3): "d2c480e3a1f75c0fdd179dbd2913d000a69b74eff287a5f49e73b9be6bfe988a",
     # index one: fit_b runs on both sides
-    ("chain-mk-k1", 7, "ca4bace21187d7286ea22c9dcb7a1226aca008a8bd340c7fa5ecc16f82f00908"),
+    ("chain-mk-k1", 7): "83b0e3a314addc8e6308808fefb933494dc88d2426f7271bffd9fa4b68011f14",
     # boundary index: the jointly fitted shift on T, its transfer to X
-    ("nonarith-k2", 3, "31928fdfdf745f0162840b6a4aa9fc5fb2f3580ff43014c36d30aa56453c00a7"),
-])
-def test_limit_check_csv_golden(model, seed, digest, tmp_path):
+    ("nonarith-k2", 3): "5b4ec6fd45c9756048a3e0b3259bc4224ec5635fd544969809eabf713151a7b6",
+}
+
+
+@pytest.mark.parametrize("model, seed", list(LIMIT_CHECK_GOLDEN))
+def test_limit_check_csv_golden(model, seed, tmp_path):
     out = tmp_path / "limit.csv"
     assert run_cli("limit-check", "--config", MODELS / f"{model}.toml", "--n", 1000,
                    "--replicas", 1000, "--side", "both", "--seed", seed, "--out", out) == 0
-    assert _sha256(out) == digest
+    assert _sha256(out) == LIMIT_CHECK_GOLDEN[model, seed]
 
 
 def _perfbench_checks():
@@ -389,15 +395,26 @@ def test_limit_check_rejects_step_cap_below_target(monkeypatch, capsys, side):
     assert calls == []
 
 
+def test_limit_check_names_the_cap_when_censoring_starves_the_fit(capsys):
+    # nonarith-sub1 has tail index ~0.67: a cap of 1e5 at n = 100 censors dozens of 1000
+    assert run_cli("limit-check", "--config", SUB1, "--n", 100, "--replicas", 1000,
+                   "--seed", 3, "--step-cap", 10**5) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"step cap 100000 censored [1-9]\d* of 1000 hitting times; "
+                     r"the fit needs at least 1000 uncensored", err), err
+
+
 def test_limit_check_step_cap_enters_config_hash(tmp_path):
-    # the cap decides which hitting times are censored, so it is part of the config
+    # the cap decides which hitting times are censored, so it is part of the
+    # config; 1200 replicas leave the fit its 1000 samples after the few
+    # hitting times of the tail (index ~0.67) that a cap of 1e7 censors
     def hash_line(*cap):
         out = tmp_path / "limit.csv"
-        assert run_cli("limit-check", "--config", SUB1, "--n", 100, "--replicas", 1000,
+        assert run_cli("limit-check", "--config", SUB1, "--n", 100, "--replicas", 1200,
                        "--seed", 3, "--out", out, *cap) == 0
         return out.read_text().splitlines()[-1]
 
-    conf = cli._config_hash(SUB1, {"n": 100, "replicas": 1000, "side": "T"})
+    conf = cli._config_hash(SUB1, {"n": 100, "replicas": 1200, "side": "T"})
     plain = f"# config_hash={conf} seed=3"
     assert hash_line() == plain
     capped = {hash_line("--step-cap", cap) for cap in (10**7, 10**8)}

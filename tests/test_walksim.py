@@ -162,7 +162,44 @@ def test_position_window_costs_one_byte_per_site_and_lane():
 
 def test_blocks_sample_golden():
     h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
-    assert _sha(h.values) == "57614ffa1aaf7a02"
+    assert _sha(h.values) == "2655618d6b5770b2"
+
+
+def _nbinom_chi2_pvalue(draws, size, p, bins=40):
+    """Chi-square p-value of ``draws`` against NB(size, p): the cells lie
+    between quantiles of the law, the tails pooled into the end cells."""
+    law = stats.nbinom(size, p)
+    edges = np.unique(law.ppf(np.linspace(0, 1, bins + 1)[1:-1]))  # cell j: (e[j-1], e[j]]
+    expected = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]])) * draws.size
+    observed = np.bincount(np.searchsorted(edges, draws), minlength=edges.size + 1)
+    return stats.chisquare(observed, expected).pvalue
+
+
+# right-step probabilities: a strongly left-drifting site, nonarith-k2's trap
+# and drift states, and a near-one site
+LEFT_MOVE_P = [0.026, 0.0310, 20 / 23, 0.975]
+# per-case level of the 25 chi-square tests below: about 0.25% family-wise;
+# a wrong law at 1e5 draws gives p-values far below it
+LEFT_MOVE_ALPHA = 1e-4
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 40, 10**4])
+def test_left_moves_follow_negative_binomial(size):
+    rng = derive_rng(22, size)
+    for p in LEFT_MOVE_P:
+        draws = walksim._left_moves(rng, np.full(10**5, size), np.full(10**5, p), 1 / p)
+        assert _nbinom_chi2_pvalue(draws, size, p) > LEFT_MOVE_ALPHA, (size, p)
+
+
+def test_left_moves_mixed_lanes_follow_their_own_law():
+    # small and large sizes with different p interleaved in one call: each
+    # lane's count must follow its own NB(size, p), in lane order
+    cases = [(1, 0.0310), (10**4, 0.975), (2, 20 / 23), (40, 0.026), (5, 0.975)]
+    size = np.tile([s for s, _ in cases], 10**5)
+    p = np.tile([q for _, q in cases], 10**5)
+    draws = walksim._left_moves(derive_rng(22, 0), size, p, 1 / 0.026)
+    for k, (s, q) in enumerate(cases):
+        assert _nbinom_chi2_pvalue(draws[k::len(cases)], s, q) > LEFT_MOVE_ALPHA, (s, q)
 
 
 @pytest.mark.parametrize("n", [5, 50])
@@ -257,7 +294,8 @@ def test_window_auto_extension_on_model_environment():
 
 
 def test_fast_engine_matches_reference_in_distribution():
-    for spec in (chains.chain_mk_k2(), chains.iid_k2()):
+    # nonarith-k2's trap state: most left-move counts are zero, a few large
+    for spec in (chains.chain_mk_k2(), chains.iid_k2(), chains.nonarith_k2()):
         # a reference walk stops on the step that hits n: steps is the hitting time
         ref = [rec.steps for rec in walksim.reference_walks(spec, 100, 2500, seed=7)]
         fast = walksim.annealed_hitting_sample(spec, 100, 2500, seed=8)
