@@ -11,8 +11,9 @@ Hitting times come two ways:
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
   between the origin and the target), so the hitting time is
-  reconstructed from one draw per site instead of one per step.  It is
-  distributionally identical to the reference path and is validated
+  reconstructed per site instead of per step: one uniform per site and
+  lane, and a negative-binomial draw only where the lane moves left.  It
+  is distributionally identical to the reference path and is validated
   against it in the test suite.
 
 Environment windows are two-sided, come from a model and extend
@@ -462,10 +463,11 @@ def forced_crossings(
     """Left-move counts of ``replicas`` walks that each cross ``sites``
     sites to the right, read downward from a stationary state.
 
-    A site's count is negative-binomial with size (count above + 1), then
-    the chain moves one site down.  Returns the last site's counts, each
-    replica's total and the states below the last site.  Read as one
-    generation per site, this is the branching process with immigration.
+    A site's count is negative-binomial with size (count above + 1), drawn
+    by :func:`_left_moves`, then the chain moves one site down.  Returns the
+    last site's counts, each replica's total and the states below the last
+    site.  Read as one generation per site, this is the branching process
+    with immigration.
     """
     max_odds = float(spec.rho.max())
     states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
@@ -489,10 +491,11 @@ def annealed_hitting_sample(
 
     A hitting time is ``n + 2 * (total left moves)``: the forced crossings
     of sites ``n - 1`` down to 0 (:func:`forced_crossings`), then below the
-    origin until a lane's count is zero.  One draw per site, the hitting
-    time of :func:`reference_walks` in law, every draw from
-    ``derive_rng(seed, 0)`` in a fixed order.  Values above ``step_cap``
-    are censored.
+    origin until a lane's count is zero.  Each site costs one uniform per
+    lane and one negative-binomial call on the lanes that move left there
+    (:func:`_left_moves`); the hitting time is that of
+    :func:`reference_walks` in law, every draw from ``derive_rng(seed, 0)``
+    in a fixed order.  Values above ``step_cap`` are censored.
     """
     if n < 1:
         raise ModelError(f"target site must be >= 1, got {n}")
