@@ -42,6 +42,9 @@ GEOMETRIC_CUTOFF = 10_000
 KS_SIGNIFICANCE = 0.01  # a branching-vs-walk p-value below this rejects the identity
 POPULATION_LIMIT = 2**63 - 1
 _PATH_CHUNK = 1 << 16  # uniforms per draw of sample_chain_path
+# uniforms sample_branching turns into floats at a time where its scalar loop
+# reads them; a whole buffer costs 22 ns a uniform even where numpy reads it
+_LIST_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -94,17 +97,15 @@ def sample_branching(
 
     # Hot loop: buffered uniforms and plain-python state, which beats numpy
     # scalar calls by an order of magnitude at typical population sizes.
+    # ``ul`` holds ``buf[u0:u0 + len(ul)]`` as Python floats.
     cum_rows = spec.chain.fwd_rows
     om_list = [float(v) for v in spec.omega]
     inv_log = [1.0 / math.log1p(-v) for v in om_list]
 
-    states = np.empty(horizon + 1, dtype=np.int64)
-    Z = np.zeros(horizon + 1, dtype=np.int64)
-    buf = rng.random(1 << 16)
-    bi = 0
+    buf, ul, u0, bi = rng.random(1 << 16), [], 0, 0
     blen = len(buf)
     s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
-    states[0] = s
+    states, Z = [s], [0]
     z = 0
     log = math.log
     for t in range(horizon):
@@ -116,28 +117,30 @@ def sample_branching(
             z = int(rng.negative_binomial(count, om_list[s]))
         else:
             if bi + count + 1 > blen:
-                buf = rng.random(max(1 << 16, count + 1))
-                bi = 0
+                buf, ul, u0, bi = rng.random(max(1 << 16, count + 1)), [], 0, 0
                 blen = len(buf)
             inv = inv_log[s]
             if count > 16:
                 z = int(np.floor(np.log(buf[bi:bi + count]) * inv).sum())
             else:
+                if bi + count - u0 > len(ul):
+                    ul, u0 = buf[bi:bi + _LIST_CHUNK].tolist(), bi
                 z = 0
-                for u in buf[bi:bi + count].tolist():
+                for u in ul[bi - u0:bi - u0 + count]:
                     z += int(log(u) * inv)
             bi += count
         if z > POPULATION_LIMIT:
             raise NumericalError(f"population explosion at generation {t + 1}")
-        Z[t + 1] = z
+        Z.append(z)
         if bi == blen:
-            buf = rng.random(1 << 16)
-            bi = 0
-        u = buf[bi]
+            buf, ul, u0, bi = rng.random(1 << 16), [], 0, 0
+        if bi - u0 >= len(ul):
+            ul, u0 = buf[bi:bi + _LIST_CHUNK].tolist(), bi
+        s = bisect_right(cum_rows[s], ul[bi - u0])
         bi += 1
-        s = bisect_right(cum_rows[s], u)
-        states[t + 1] = s
-    return BranchPath(populations=Z, states=states)
+        states.append(s)
+    return BranchPath(populations=np.array(Z, dtype=np.int64),
+                      states=np.array(states, dtype=np.int64))
 
 
 def extinction_times(populations: np.ndarray) -> np.ndarray:

@@ -165,21 +165,26 @@ class ChainTable:
         return self.cum_rev.tolist()
 
 
-def chain_move(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+def chain_move(
+    cum: np.ndarray, states: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """One chain move per lane: how many entries of row ``states[i]`` of
     ``cum`` lie at or below ``u[i]`` (``searchsorted(side="right")``
     semantics, so a zero-probability state is never entered), summed one
-    cumulative column at a time.
+    cumulative column at a time.  The counts come back as int64, or are
+    written into ``out`` and returned: one unsigned entry a lane, of a type
+    that holds ``K - 1``.
 
     Precondition, not checked: every row of ``cum`` ends at exactly 1.0, as
     :func:`closed_cumsum` leaves it, and every ``u`` lies in ``[0, 1)``, as
     ``rng.random`` draws it.  The last column then never counts and is not
     compared."""
     # count in the narrowest type that holds K - 1, widened once at the end
-    out = np.zeros(states.shape[0], dtype=np.min_scalar_type(cum.shape[1] - 1))
+    count = np.empty(states.shape[0], np.min_scalar_type(cum.shape[1] - 1)) if out is None else out
+    count.fill(0)
     for k in range(cum.shape[1] - 1):
-        out += u >= cum[:, k].take(states)
-    return out.astype(np.int64)
+        count += u >= cum[:, k].take(states)
+    return count.astype(np.int64) if out is None else count
 
 
 def chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:

@@ -11,10 +11,10 @@ Hitting times come two ways:
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
   between the origin and the target), so the hitting time is
-  reconstructed per site instead of per step: one uniform per site and
-  lane, and a negative-binomial draw only where the lane moves left.  It
-  is distributionally identical to the reference path and is validated
-  against it in the test suite.
+  reconstructed per site instead of per step: one uniform per geometric
+  brood, or one numpy negative-binomial call where a site has many broods
+  per lane.  It is distributionally identical to the reference path and
+  is validated against it in the test suite.
 
 Environment windows are two-sided, come from a model and extend
 themselves on demand.
@@ -27,7 +27,8 @@ a batch to the scalar loop of ``run_to_hit``; every record equals the one
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, grown in place, edges tested on a countdown.
 The buffer holds each site's chain state in the narrowest unsigned type
-(one byte a site and lane up to 256 states); a step reads ``omega`` off it.
+(one byte a site and lane up to 256 states), each row written in place by
+``chain_move``; a step reads ``omega`` off it.
 The steps before a countdown runs out draw their uniforms in one call, as
 does each growth of the window.
 """
@@ -58,6 +59,11 @@ __all__ = [
 DEFAULT_STEP_CAP = 10**9
 _EXTEND_CHUNK = 64
 _EXPLOSION_LIMIT = 2**60
+# Broods per lane above which a left-move call goes to numpy's
+# negative_binomial: on 2000 lanes (2-CPU Xeon) a brood costs about 13 ns and
+# a numpy draw 80 ns a lane plus 35 us a call, so the two meet near 7 broods
+# a lane; 4 also caps a call's brood buffers at 4 floats a lane.
+_BROOD_FACTOR = 4
 _BATCH_BYTES = 8 << 20  # memory budget of one lockstep batch of reference walks
 _FINISH_LANES = 48  # a batch with at most this many live lanes finishes them one by one
 _WALK_CHUNK = 256  # walk uniforms drawn per lockstep lane at a time
@@ -438,23 +444,27 @@ class _Lockstep:
 def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:
     """Negative-binomial left-move counts NB(size, p), checked before the draw.
 
-    Each lane's right steps before its first left step are geometric,
-    ``F = floor(log1p(-U) / log p)``, from one uniform (Devroye 1986, ch.
-    X); a lane with ``F >= size`` makes no left move, and the others make
-    ``1 + NB(size - F, p)``, drawn by numpy in one call on those lanes in
-    lane order.  numpy refuses a draw whose mean ``size (1 - p) / p`` nears
-    2**63 (its Poisson rate limit).  The count has exploded long before
-    that, so a mean bound ``max(size) * max_odds`` above
-    ``_EXPLOSION_LIMIT`` is a ``NumericalError``.  The check consumes no
-    draws.
+    A lane's count is the sum of ``size`` geometric broods, the right steps
+    before each left step, ``floor(log1p(-U) / log1p(-p))`` from one uniform
+    each (Devroye 1986, ch. X).  All the uniforms of a call come from one
+    ``rng.random`` call in lane order, and one ``bincount`` sums every
+    lane's broods (whole floats, so exact below 2**53); a lane of size 0
+    gets 0.  A call with more than ``_BROOD_FACTOR`` broods per lane goes
+    to numpy's ``negative_binomial`` in one call instead.  numpy refuses a
+    draw whose mean ``size (1 - p) / p`` nears 2**63 (its Poisson rate
+    limit).  The count has exploded long before that, so a mean bound
+    ``max(size) * max_odds`` above ``_EXPLOSION_LIMIT`` is a
+    ``NumericalError``.  The check consumes no draws.
     """
-    if np.max(size, initial=0) * max_odds > _EXPLOSION_LIMIT:
+    if size.max(initial=0) * max_odds > _EXPLOSION_LIMIT:
         raise NumericalError("left-move count explosion")
-    first = np.floor(np.log1p(-rng.random(size.size)) / np.log(p))
-    fail = np.flatnonzero(first < size)
-    out = np.zeros(size.size, dtype=np.int64)
-    out[fail] = 1 + rng.negative_binomial(size[fail] - first[fail].astype(np.int64), p[fail])
-    return out
+    total = size.sum(dtype=float)  # a float total cannot wrap
+    if total > _BROOD_FACTOR * size.size:  # numpy refuses size 0: those lanes' draws are dropped
+        return np.where(size > 0, rng.negative_binomial(np.maximum(size, 1), p), 0)
+    lane = np.arange(size.size).repeat(size)  # each brood's lane, in lane order
+    broods = np.log1p(-rng.random(int(total)))
+    broods /= np.log1p(-p).take(lane)
+    return np.bincount(lane, np.floor(broods, out=broods), size.size).astype(np.int64)
 
 
 def forced_crossings(
@@ -463,11 +473,11 @@ def forced_crossings(
     """Left-move counts of ``replicas`` walks that each cross ``sites``
     sites to the right, read downward from a stationary state.
 
-    A site's count is negative-binomial with size (count above + 1), drawn
-    by :func:`_left_moves`, then the chain moves one site down.  Returns the
-    last site's counts, each replica's total and the states below the last
-    site.  Read as one generation per site, this is the branching process
-    with immigration.
+    A site's count is negative-binomial with size (count above + 1), the
+    sum of that many geometric broods (:func:`_left_moves`), then the chain
+    moves one site down.  Returns the last site's counts, each replica's
+    total and the states below the last site.  Read as one generation per
+    site, this is the branching process with immigration.
     """
     max_odds = float(spec.rho.max())
     states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
@@ -492,10 +502,11 @@ def annealed_hitting_sample(
     A hitting time is ``n + 2 * (total left moves)``: the forced crossings
     of sites ``n - 1`` down to 0 (:func:`forced_crossings`), then below the
     origin until a lane's count is zero.  Each site costs one uniform per
-    lane and one negative-binomial call on the lanes that move left there
-    (:func:`_left_moves`); the hitting time is that of
-    :func:`reference_walks` in law, every draw from ``derive_rng(seed, 0)``
-    in a fixed order.  Values above ``step_cap`` are censored.
+    geometric brood, or one negative-binomial call where the site has more
+    than ``_BROOD_FACTOR`` broods per lane (:func:`_left_moves`); the
+    hitting time is that of :func:`reference_walks` in law, every draw from
+    ``derive_rng(seed, 0)`` in a fixed order.  Values above ``step_cap``
+    are censored.
     """
     if n < 1:
         raise ModelError(f"target site must be >= 1, got {n}")
@@ -568,19 +579,19 @@ def annealed_position_sample(
 def _position_batch(spec, n_steps, lanes, rng):
     table, chunk = spec.chain, _EXTEND_CHUNK
 
-    def fill(rows, cum, s):
-        # one lockstep chain move from ``s`` per buffer row, uniforms drawn at once
+    def fill(rows, cum):
+        # one lockstep chain move per buffer row from the row before it,
+        # written in place, uniforms drawn at once
         for r, u in zip(rows, rng.random((len(rows), lanes))):
-            buf[r] = s = chain_move(cum, s, u)
-        return s
+            chain_move(cum, buf[r - rows.step], u, out=buf[r])
 
     s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
     origin, lo, hi = 2 * chunk, chunk, 3 * chunk  # buffer rows of sites 0, -left, right
     state = np.min_scalar_type(spec.n_states - 1)  # a site's chain state, one byte up to 256
     buf = np.empty((4 * chunk + 1, lanes), dtype=state)
     buf[origin] = s0
-    s_lo = fill(range(origin - 1, lo - 1, -1), table.cum_fwd, s0)
-    s_hi = fill(range(origin + 1, hi + 1), table.cum_rev, s0)
+    fill(range(origin - 1, lo - 1, -1), table.cum_fwd)
+    fill(range(origin + 1, hi + 1), table.cum_rev)
     idx = origin * lanes + np.arange(lanes)
     # step buffers; take's default mode would copy through a temporary, and
     # every index here lies inside its table, so "clip" never clips
@@ -608,9 +619,9 @@ def _position_batch(spec, n_steps, lanes, rng):
             buf, lo, hi, origin = new, lo + shift, hi + shift, origin + shift
             idx += shift * lanes
         if idx.min() // lanes == lo:
-            s_lo = fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd, s_lo)
+            fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd)
             lo -= chunk
         if idx.max() // lanes == hi:
-            s_hi = fill(range(hi + 1, hi + chunk + 1), table.cum_rev, s_hi)
+            fill(range(hi + 1, hi + chunk + 1), table.cum_rev)
             hi += chunk
         countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)

@@ -239,9 +239,9 @@ def test_population_explosion_aborts():
 # sha256 prefixes of 2000 population sums by (chain, n), kept out of the
 # test ids so that a re-pin renames no test
 POPULATION_SUMS_GOLDEN = {
-    ("chain_mk_k2", 200): "04d1b82a59728f80",
-    ("chain_mk_k2", 2): "5fa51d677c0bb609",  # one generation summed past Z_0 = 0
-    ("nonarith_sub1", 200): "25143bd7bc58cb57",  # heavy counts, up to about 3e7
+    ("chain_mk_k2", 200): "c4ba6be0ca15a88c",
+    ("chain_mk_k2", 2): "33a37cb113b3a771",  # one generation summed past Z_0 = 0
+    ("nonarith_sub1", 200): "4d6fd996974c315f",  # heavy counts, up to about 6e7
 }
 
 

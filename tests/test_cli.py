@@ -316,11 +316,11 @@ def test_limit_check_summary_rows(tmp_path, capsys):
 # sha256 of `limit-check --n 1000 --replicas 1000 --side both` by (model, seed),
 # kept out of the test ids so that a re-pin renames no test
 LIMIT_CHECK_GOLDEN = {
-    ("nonarith-sub1", 3): "d2c480e3a1f75c0fdd179dbd2913d000a69b74eff287a5f49e73b9be6bfe988a",
+    ("nonarith-sub1", 3): "c15a3a5ec1eb0f4135c27039813f1b4a5a04c881eb5eb500111d80e9c537964f",
     # index one: fit_b runs on both sides
-    ("chain-mk-k1", 7): "83b0e3a314addc8e6308808fefb933494dc88d2426f7271bffd9fa4b68011f14",
+    ("chain-mk-k1", 7): "01c576ba050370c2b96b90e79a675b449413a4f3b47019c15e65c0acc549f8b5",
     # boundary index: the jointly fitted shift on T, its transfer to X
-    ("nonarith-k2", 3): "5b4ec6fd45c9756048a3e0b3259bc4224ec5635fd544969809eabf713151a7b6",
+    ("nonarith-k2", 3): "1ec7be948693b3c9c5bea5ccca5378acb39f270340f2f87b60d7246f1b9c8324",
 }
 
 

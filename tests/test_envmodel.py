@@ -168,6 +168,20 @@ def test_chain_move_ties_match_chain_walk():
     assert got.tolist() == walked
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 257])
+def test_chain_move_into_out_equals_returned_counts(k):
+    # k = 1 compares no column: the count is all zeros, written over garbage
+    rng = np.random.default_rng(k)
+    cum = envmodel.closed_cumsum(rng.dirichlet(np.ones(k), size=k))
+    s = rng.integers(0, k, 300)
+    u = rng.random(300)
+    out = np.full(300, 7, dtype=np.min_scalar_type(k - 1))
+    got = envmodel.chain_move(cum, s.astype(out.dtype), u, out=out)
+    assert got is out
+    assert out.tolist() == envmodel.chain_move(cum, s, u).tolist()
+    assert k > 1 or not out.any()
+
+
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_reverse_kernel_accepts_sparse_dirichlet_chains(k, seed):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 
@@ -146,6 +147,17 @@ def test_position_sample_golden_wide_chain(k, lo_hi, digest):
     assert _sha(x) == digest
 
 
+def test_position_sample_on_one_state_is_a_binomial_walk():
+    # one state: every step goes right with probability omega, so a position
+    # is 2 Bin(n, omega) - n
+    spec = chains.single_state(0.5)
+    n, replicas, w = 300, 2000, float(spec.omega[0])
+    x = walksim.annealed_position_sample(spec, n, replicas, seed=8)
+    assert np.all((x + n) % 2 == 0) and np.all(np.abs(x) <= n)
+    se = np.sqrt(4 * n * w * (1 - w) / replicas)
+    assert abs(x.mean() - n * (2 * w - 1)) < 4 * se
+
+
 def test_position_window_costs_one_byte_per_site_and_lane():
     # 512 lanes walk about 2,400 sites right in 3000 steps: one-byte states
     # with the window's growth copies peak near 5 MB, 8-byte ones would not fit
@@ -162,7 +174,7 @@ def test_position_window_costs_one_byte_per_site_and_lane():
 
 def test_blocks_sample_golden():
     h = walksim.annealed_hitting_sample(chains.nonarith_k2(), 2000, 300, seed=4)
-    assert _sha(h.values) == "2655618d6b5770b2"
+    assert _sha(h.values) == "6c821924e6b21c7c"
 
 
 def _nbinom_chi2_pvalue(draws, size, p, bins=40):
@@ -178,28 +190,74 @@ def _nbinom_chi2_pvalue(draws, size, p, bins=40):
 # right-step probabilities: a strongly left-drifting site, nonarith-k2's trap
 # and drift states, and a near-one site
 LEFT_MOVE_P = [0.026, 0.0310, 20 / 23, 0.975]
-# per-case level of the 25 chi-square tests below: about 0.25% family-wise;
+# per-case level of the 41 chi-square tests below: about 0.4% family-wise;
 # a wrong law at 1e5 draws gives p-values far below it
 LEFT_MOVE_ALPHA = 1e-4
 
 
-@pytest.mark.parametrize("size", [1, 2, 5, 40, 10**4])
-def test_left_moves_follow_negative_binomial(size):
-    rng = derive_rng(22, size)
+def _left_moves_checked(rng, size, p, max_odds):
+    """``_left_moves``, asserting which draw ran: a call with at most
+    ``_BROOD_FACTOR`` broods per lane takes one uniform per brood from
+    ``rng``, any other one numpy negative-binomial call, size 0 drawn as 1."""
+    twin = copy.deepcopy(rng)
+    draws = walksim._left_moves(rng, size, p, max_odds)
+    if size.sum() <= walksim._BROOD_FACTOR * size.size:
+        twin.random(int(size.sum()))
+    else:
+        twin.negative_binomial(np.maximum(size, 1), p)
+    assert twin.bit_generator.state == rng.bit_generator.state
+    return draws
+
+
+# (size, extra broods on the last lane): sizes 1, 2 and 4 take the brood
+# draw, 4 with one brood more (one above the cut-over) and the rest numpy's
+@pytest.mark.parametrize("size, extra", [
+    pytest.param(s, e, id=f"{s}+{e}" if e else str(s))
+    for s, e in [(1, 0), (2, 0), (4, 0), (4, 1), (5, 0), (40, 0), (10**4, 0)]
+])
+def test_left_moves_follow_negative_binomial(size, extra):
+    rng = derive_rng(22, size, extra)
     for p in LEFT_MOVE_P:
-        draws = walksim._left_moves(rng, np.full(10**5, size), np.full(10**5, p), 1 / p)
+        sizes = np.full(10**5, size)
+        sizes[-1] += extra
+        draws = _left_moves_checked(rng, sizes, np.full(10**5, p), 1 / p)[:-1]
         assert _nbinom_chi2_pvalue(draws, size, p) > LEFT_MOVE_ALPHA, (size, p)
 
 
 def test_left_moves_mixed_lanes_follow_their_own_law():
     # small and large sizes with different p interleaved in one call: each
-    # lane's count must follow its own NB(size, p), in lane order
-    cases = [(1, 0.0310), (10**4, 0.975), (2, 20 / 23), (40, 0.026), (5, 0.975)]
-    size = np.tile([s for s, _ in cases], 10**5)
-    p = np.tile([q for _, q in cases], 10**5)
-    draws = walksim._left_moves(derive_rng(22, 0), size, p, 1 / 0.026)
-    for k, (s, q) in enumerate(cases):
-        assert _nbinom_chi2_pvalue(draws[k::len(cases)], s, q) > LEFT_MOVE_ALPHA, (s, q)
+    # lane's count must follow its own NB(size, p), in lane order; the
+    # second class set has 4 broods a lane, the cut-over, and then one more
+    heavy = [(1, 0.0310), (10**4, 0.975), (2, 20 / 23), (40, 0.026), (5, 0.975)]
+    cut = [(1, 0.0310), (2, 20 / 23), (4, 0.975), (9, 0.026)]
+    for key, (cases, extra) in enumerate([(heavy, 0), (cut, 0), (cut, 1)]):
+        size = np.tile([s for s, _ in cases], 10**5)
+        p = np.tile([q for _, q in cases], 10**5)
+        size[-1] += extra
+        draws = _left_moves_checked(derive_rng(22, 0, key), size, p, 1 / 0.026)
+        draws = draws[:-len(cases)]  # the last tile holds the extra brood
+        for k, (s, q) in enumerate(cases):
+            pvalue = _nbinom_chi2_pvalue(draws[k::len(cases)], s, q)
+            assert pvalue > LEFT_MOVE_ALPHA, (s, q, extra)
+
+
+@pytest.mark.parametrize("size", [[], [0], [0, 3, 0, 0, 2, 0], [0, 100, 0]])
+def test_left_moves_of_size_zero_are_zero(size):
+    # brood draws (lane 0 of size 0 reads the cumulative sum's leading zero)
+    # and a numpy draw ([0, 100, 0]: 33 broods a lane), which refuses size 0
+    # itself
+    size = np.array(size, dtype=np.int64)
+    draws = _left_moves_checked(derive_rng(23, size.size), size, np.full(size.size, 0.3), 3.0)
+    assert draws.shape == size.shape and draws.dtype == np.int64
+    assert np.all(draws[size == 0] == 0) and np.all(draws[size > 0] >= 0)
+
+
+def test_left_moves_total_beyond_int64_does_not_wrap():
+    # 16 lanes of 2**59 broods sum to 2**63, which wraps to a negative int64
+    # total; the choice of draw must not read it as a small call
+    size = np.full(16, 2**59, dtype=np.int64)
+    draws = walksim._left_moves(derive_rng(24, 0), size, np.full(16, 0.5), 1.0)
+    assert np.all(draws > 2**58)
 
 
 @pytest.mark.parametrize("n", [5, 50])
