@@ -552,7 +552,7 @@ def annealed_position_sample(
     unsigned type that holds ``n_states - 1``, and a lane at row ``r`` reads
     flat index ``r * lanes + lane`` and then that state's ``omega``.  After
     a step that leaves a lane on a window edge, that side grows by
-    ``_EXTEND_CHUNK`` sites (left before right) from the kept edge states,
+    ``_EXTEND_CHUNK`` sites (left before right) from the edge row's states,
     in place, or into a copy with a window's height of head-room added on
     both sides once a side runs short.  A lane moves one site per step, so
     the edges are re-measured only when a countdown, the distance from the

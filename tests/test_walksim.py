@@ -243,9 +243,9 @@ def test_left_moves_mixed_lanes_follow_their_own_law():
 
 @pytest.mark.parametrize("size", [[], [0], [0, 3, 0, 0, 2, 0], [0, 100, 0]])
 def test_left_moves_of_size_zero_are_zero(size):
-    # brood draws (lane 0 of size 0 reads the cumulative sum's leading zero)
-    # and a numpy draw ([0, 100, 0]: 33 broods a lane), which refuses size 0
-    # itself
+    # brood draws, where a size-0 lane (lane 0 and the last included) has no
+    # brood to count, and a numpy draw ([0, 100, 0]: 33 broods a lane), which
+    # refuses size 0 itself
     size = np.array(size, dtype=np.int64)
     draws = _left_moves_checked(derive_rng(23, size.size), size, np.full(size.size, 0.3), 3.0)
     assert draws.shape == size.shape and draws.dtype == np.int64
