@@ -25,12 +25,13 @@ a batch to the scalar loop of ``run_to_hit``; every record equals the one
 ``run_to_hit`` gives that lane alone.
 
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
-on one site-major window buffer, grown in place, edges tested on a countdown.
-The buffer holds each site's chain state in the narrowest unsigned type
-(one byte a site and lane up to 256 states), each row written in place by
-``chain_move``; a step reads ``omega`` off it.
-The steps before a countdown runs out draw their uniforms in one call, as
-does each growth of the window.
+on one site-major window buffer, filled in place, edges tested on a
+countdown.  The buffer holds each site's chain state in the narrowest
+unsigned type (one byte a site and lane up to 256 states), each row written
+in place by ``chain_move``; a step reads ``omega`` off it.  Batches are as
+wide as ``_WINDOW_BYTES`` allows, which then holds a batch's whole reach, so
+the buffer is never copied.  The steps before a countdown runs out draw
+their uniforms in one call, as does each fill of the window.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ _BATCH_BYTES = 8 << 20  # memory budget of one lockstep batch of reference walks
 _FINISH_LANES = 48  # a batch with at most this many live lanes finishes them one by one
 _WALK_CHUNK = 256  # walk uniforms drawn per lockstep lane at a time
 _SCALAR_CHUNK = 8192  # walk uniforms drawn at a time by the scalar loop
-_POSITION_BATCH = 512  # lockstep lanes per batch of annealed_position_sample
+_POSITION_BATCH = 512  # fewest lockstep lanes in a batch of annealed_position_sample
+# Bytes of a position batch's lanes at full height, window and a fill's uniforms:
+# two 1000-lane batches for 2000 replicas at n = 10**4, _POSITION_BATCH from n of
+# about 2.4 * 10**4 up.  One 2000-lane batch (41 MB) ran a little faster, but past
+# glibc's 32 MiB mmap threshold it took fresh pages and 8 MB more peak RSS.
+_WINDOW_BYTES = 24 << 20
 
 
 @dataclass
@@ -441,12 +447,14 @@ class _Lockstep:
             t += stop
 
 
-def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.ndarray:
-    """Negative-binomial left-move counts NB(size, p), checked before the draw.
+def _left_moves(rng, size, states, omega, log_q, max_odds: float) -> np.ndarray:
+    """Negative-binomial left-move counts NB(size, omega[states]), checked
+    before the draw.
 
     A lane's count is the sum of ``size`` geometric broods, the right steps
-    before each left step, ``floor(log1p(-U) / log1p(-p))`` from one uniform
-    each (Devroye 1986, ch. X).  All the uniforms of a call come from one
+    before each left step, ``floor(log1p(-U) / log_q[state])`` from one
+    uniform each, ``log_q`` being the per-state table ``log1p(-omega)``
+    (Devroye 1986, ch. X).  All the uniforms of a call come from one
     ``rng.random`` call in lane order, and one ``bincount`` sums every
     lane's broods (whole floats, so exact below 2**53); a lane of size 0
     gets 0.  A call with more than ``_BROOD_FACTOR`` broods per lane goes
@@ -460,10 +468,10 @@ def _left_moves(rng, size: np.ndarray, p: np.ndarray, max_odds: float) -> np.nda
         raise NumericalError("left-move count explosion")
     total = size.sum(dtype=float)  # a float total cannot wrap
     if total > _BROOD_FACTOR * size.size:  # numpy refuses size 0: those lanes' draws are dropped
-        return np.where(size > 0, rng.negative_binomial(np.maximum(size, 1), p), 0)
+        return np.where(size > 0, rng.negative_binomial(np.maximum(size, 1), omega[states]), 0)
     lane = np.arange(size.size).repeat(size)  # each brood's lane, in lane order
     broods = np.log1p(-rng.random(int(total)))
-    broods /= np.log1p(-p).take(lane)
+    broods /= log_q.take(states).take(lane)
     return np.bincount(lane, np.floor(broods, out=broods), size.size).astype(np.int64)
 
 
@@ -479,12 +487,12 @@ def forced_crossings(
     total and the states below the last site.  Read as one generation per
     site, this is the branching process with immigration.
     """
-    max_odds = float(spec.rho.max())
+    law = spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
     states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
     counts = np.zeros(replicas, dtype=np.int64)
     total = np.zeros(replicas, dtype=np.int64)
     for _ in range(sites):
-        counts = _left_moves(rng, counts + 1, spec.omega[states], max_odds)
+        counts = _left_moves(rng, counts + 1, states, *law)
         total += counts
         states = chain_move(spec.chain.cum_fwd, states, rng.random(replicas))
     return counts, total, states
@@ -514,7 +522,7 @@ def annealed_hitting_sample(
         raise ModelError("replicas must be nonnegative")
     rng = derive_rng(seed, 0)
     counts, total, states = forced_crossings(spec, n, replicas, rng)
-    max_odds = float(spec.rho.max())
+    law = spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
 
     # Sites below the origin: no forced crossing; lanes retire at zero count.
     active = np.flatnonzero(counts > 0)
@@ -525,7 +533,7 @@ def annealed_hitting_sample(
         depth += 1
         if depth > 100_000:
             raise NumericalError("walk excursion below origin did not terminate")
-        counts = _left_moves(rng, counts, spec.omega[states], max_odds)
+        counts = _left_moves(rng, counts, states, *law)
         total[active] += counts
         keep = counts > 0
         active = active[keep]
@@ -545,39 +553,50 @@ def annealed_position_sample(
 ) -> np.ndarray:
     """Walker positions after ``n_steps`` steps, one fresh environment each.
 
-    Replicas run in batches of ``_POSITION_BATCH`` lanes, batch ``b`` on the
-    stream ``derive_rng(seed, b)``; a batch's lanes step in lockstep, one
-    uniform each per step.  Their environments share one site-major buffer:
-    row ``r`` holds every lane's chain state at one site, in the narrowest
-    unsigned type that holds ``n_states - 1``, and a lane at row ``r`` reads
-    flat index ``r * lanes + lane`` and then that state's ``omega``.  After
-    a step that leaves a lane on a window edge, that side grows by
-    ``_EXTEND_CHUNK`` sites (left before right) from the edge row's states,
-    in place, or into a copy with a window's height of head-room added on
-    both sides once a side runs short.  A lane moves one site per step, so
-    the edges are re-measured only when a countdown, the distance from the
-    nearest edge to its closest lane, runs out.  The steps up to then form
-    a segment: no edge grows inside it, so its uniforms come from one
-    ``rng.random((steps, lanes))`` call, row by row the same stream as one
-    call per step.  Each growth draws its ``_EXTEND_CHUNK`` rows of chain
-    uniforms in one call too.  Deterministic for fixed
-    ``(spec, n_steps, seed)``.
+    Replicas run in as few equal batches as a width of
+    ``max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes)`` lanes allows, a
+    lane's bytes being its full-height window column and one fill's
+    uniforms; batch ``b`` draws from the stream ``derive_rng(seed, b)``.
+    A batch's lanes step in lockstep, one uniform each per step.
+    Their environments share one site-major buffer: row ``r`` holds every
+    lane's chain state at one site, in the narrowest unsigned type that
+    holds ``n_states - 1``, and a lane at row ``r`` reads flat index
+    ``r * lanes + lane`` and then that state's ``omega``.  A batch that fits
+    ``_WINDOW_BYTES`` gets every row up front, ``n_steps + _EXTEND_CHUNK``
+    on each side of the origin, and is never copied; any other starts with
+    ``2 * _EXTEND_CHUNK`` rows a side, half of them filled.  After a step that
+    leaves a lane on a window edge, that side is filled ``_EXTEND_CHUNK``
+    sites further (left before right) from the edge row's states, in
+    place, or first into a copy with a window's height of head-room added
+    on both sides when the buffer ends short of the fill.  A lane moves one
+    site per step, so the edges are re-measured only when a countdown, the
+    distance from the nearest edge to its closest lane, runs out.  The
+    steps up to then form a segment: no edge moves inside it, so its
+    uniforms come from one ``rng.random((steps, lanes))`` call, row by row
+    the same stream as one call per step.  Each fill draws its
+    ``_EXTEND_CHUNK`` rows of chain uniforms in one call too.  Deterministic
+    for fixed ``(spec, n_steps, replicas, seed)``.
     """
     if n_steps < 0 or replicas < 0:
         raise ModelError("step count and replicas must be nonnegative")
+    state = np.min_scalar_type(spec.n_states - 1)  # a site's chain state, one byte up to 256
+    height = 2 * (n_steps + _EXTEND_CHUNK) + 1  # every site a lane reaches, and a fill past it
+    lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
+    batches = -(-replicas // max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes))
     out = np.empty(replicas, dtype=np.int64)
-    done = 0
-    b = 0
-    while done < replicas:
-        m = min(_POSITION_BATCH, replicas - done)
-        out[done:done + m] = _position_batch(spec, n_steps, m, derive_rng(seed, b))
-        done += m
-        b += 1
+    for b in range(batches):
+        part = out[b * replicas // batches:(b + 1) * replicas // batches]
+        rows = height if part.size * lane_bytes <= _WINDOW_BYTES else 4 * _EXTEND_CHUNK + 1
+        part[:] = _position_batch(spec, n_steps, np.empty((rows, part.size), state),
+                                  derive_rng(seed, b))
     return out
 
 
-def _position_batch(spec, n_steps, lanes, rng):
-    table, chunk = spec.chain, _EXTEND_CHUNK
+def _position_batch(spec, n_steps, buf, rng):
+    """Positions of ``buf.shape[1]`` lockstep lanes after ``n_steps`` steps,
+    their window in ``buf`` (origin in the middle row) and every draw from
+    ``rng``; see :func:`annealed_position_sample`."""
+    table, chunk, lanes = spec.chain, _EXTEND_CHUNK, buf.shape[1]
 
     def fill(rows, cum):
         # one lockstep chain move per buffer row from the row before it,
@@ -585,17 +604,15 @@ def _position_batch(spec, n_steps, lanes, rng):
         for r, u in zip(rows, rng.random((len(rows), lanes))):
             chain_move(cum, buf[r - rows.step], u, out=buf[r])
 
-    s0 = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
-    origin, lo, hi = 2 * chunk, chunk, 3 * chunk  # buffer rows of sites 0, -left, right
-    state = np.min_scalar_type(spec.n_states - 1)  # a site's chain state, one byte up to 256
-    buf = np.empty((4 * chunk + 1, lanes), dtype=state)
-    buf[origin] = s0
+    origin = len(buf) // 2
+    lo, hi = origin - chunk, origin + chunk  # buffer rows of sites -left and right
+    buf[origin] = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
     fill(range(origin - 1, lo - 1, -1), table.cum_fwd)
     fill(range(origin + 1, hi + 1), table.cum_rev)
     idx = origin * lanes + np.arange(lanes)
     # step buffers; take's default mode would copy through a temporary, and
     # every index here lies inside its table, so "clip" never clips
-    st, om = np.empty(lanes, dtype=state), np.empty(lanes)
+    st, om = np.empty(lanes, dtype=buf.dtype), np.empty(lanes)
     right, step = np.empty(lanes, dtype=bool), np.empty_like(idx)
     move, side = np.array([-lanes, lanes]), right.view(np.uint8)  # move[side]: buffer offset
     countdown = chunk
@@ -612,16 +629,17 @@ def _position_batch(spec, n_steps, lanes, rng):
         n_steps -= seg
         if not n_steps:
             return idx // lanes - origin
-        if lo < chunk or hi + chunk >= len(buf):  # a side is short of head-room
+        below, above = idx.min() // lanes == lo, idx.max() // lanes == hi
+        if (below and lo < chunk) or (above and hi + chunk >= len(buf)):  # a fill would overrun
             shift = hi - lo + 1
-            new = np.empty((len(buf) + 2 * shift, lanes), dtype=state)
+            new = np.empty((len(buf) + 2 * shift, lanes), dtype=buf.dtype)
             new[lo + shift:hi + shift + 1] = buf[lo:hi + 1]
             buf, lo, hi, origin = new, lo + shift, hi + shift, origin + shift
             idx += shift * lanes
-        if idx.min() // lanes == lo:
+        if below:
             fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd)
             lo -= chunk
-        if idx.max() // lanes == hi:
+        if above:
             fill(range(hi + 1, hi + chunk + 1), table.cum_rev)
             hi += chunk
         countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)

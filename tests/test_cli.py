@@ -316,11 +316,11 @@ def test_limit_check_summary_rows(tmp_path, capsys):
 # sha256 of `limit-check --n 1000 --replicas 1000 --side both` by (model, seed),
 # kept out of the test ids so that a re-pin renames no test
 LIMIT_CHECK_GOLDEN = {
-    ("nonarith-sub1", 3): "c15a3a5ec1eb0f4135c27039813f1b4a5a04c881eb5eb500111d80e9c537964f",
+    ("nonarith-sub1", 3): "9ddd2da1168f7e7f668abf2606e24397fe64f2f76d2006a925cb7349568de0ff",
     # index one: fit_b runs on both sides
-    ("chain-mk-k1", 7): "01c576ba050370c2b96b90e79a675b449413a4f3b47019c15e65c0acc549f8b5",
+    ("chain-mk-k1", 7): "fc2cd1652e1ec6546f4d8e5ac6d7977e7fb1384f7468dde97a73a291e11c9864",
     # boundary index: the jointly fitted shift on T, its transfer to X
-    ("nonarith-k2", 3): "1ec7be948693b3c9c5bea5ccca5378acb39f270340f2f87b60d7246f1b9c8324",
+    ("nonarith-k2", 3): "218ca2a90927894fd917a3892c177378fc174b6a517304563c4d456db81365d1",
 }
 
 

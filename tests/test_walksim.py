@@ -89,12 +89,19 @@ DEEP = envmodel.EnvironmentSpec(
 )
 
 
-def test_position_sample_golden_across_batches():
-    # 600 replicas: one full 512-lane batch and one of 88; the walks drift
-    # right, so every batch extends its window on the right.
+def _lane_bytes(n_steps):
+    """A one-byte-state lane's full-height window and a fill's uniforms."""
+    return 2 * (n_steps + walksim._EXTEND_CHUNK) + 1 + 8 * walksim._EXTEND_CHUNK
+
+
+def test_position_sample_golden_across_batches(monkeypatch):
+    # a budget of 300 lanes: 600 replicas run as two full-height batches of
+    # 300 (the parent's draws for 300-lane batches); the walks drift right,
+    # so every batch fills its window on the right
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 300 * _lane_bytes(3000))
     x = walksim.annealed_position_sample(chains.nonarith_k2(), 3000, 600, seed=5)
-    assert (x.min(), x.max()) == (1598, 2334)
-    assert _sha(x) == "436f1b163878080b"
+    assert (x.min(), x.max()) == (1582, 2308)
+    assert _sha(x) == "acfa63541640dfd1"
 
 
 def test_position_sample_golden_deep_left():
@@ -109,21 +116,25 @@ def test_position_sample_zero_steps():
 
 
 def test_position_sample_golden_short_of_first_countdown(monkeypatch):
-    # 37 steps end before the first countdown of 64 runs out
+    # 37 steps end before the first countdown of 64 runs out; no budget, so
+    # 70 replicas run as batches of 23, 23 and 24 lanes
     monkeypatch.setattr(walksim, "_POSITION_BATCH", 32)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
     x = walksim.annealed_position_sample(chains.nonarith_k2(), 37, 70, seed=9)
-    assert (x.min(), x.max()) == (15, 33)
-    assert _sha(x) == "0de7e72209f6edc0"
+    assert (x.min(), x.max()) == (9, 37)
+    assert _sha(x) == "8a0439102b677d2a"
 
 
 @pytest.mark.parametrize("spec, n_steps, replicas, seed, batch, lo_hi, digest", [
     (chains.chain_mk_k2(), 777, 90, 11, 512, (41, 249), "44afbee90de9e6a9"),
-    (DEEP, 1001, 45, 4, 20, (-215, -23), "12a426d4c57fca75"),
+    (DEEP, 1001, 45, 4, 20, (-227, -17), "19f4ef20f59be345"),  # three batches of 15
 ])
 def test_position_sample_golden_off_window_multiple(monkeypatch, spec, n_steps, replicas,
                                                     seed, batch, lo_hi, digest):
-    # step counts that are no multiple of the 64-site window extension
+    # step counts that are no multiple of the 64-site window extension; no
+    # budget, so the windows start short and grow by copies
     monkeypatch.setattr(walksim, "_POSITION_BATCH", batch)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
     x = walksim.annealed_position_sample(spec, n_steps, replicas, seed=seed)
     assert (x.min(), x.max()) == lo_hi
     assert _sha(x) == digest
@@ -159,8 +170,10 @@ def test_position_sample_on_one_state_is_a_binomial_walk():
 
 
 def test_position_window_costs_one_byte_per_site_and_lane():
-    # 512 lanes walk about 2,400 sites right in 3000 steps: one-byte states
-    # with the window's growth copies peak near 5 MB, 8-byte ones would not fit
+    # 512 lanes walk about 2,400 sites right in 3000 steps on a full-height
+    # window of one-byte states: that buffer and two blocks of 64 uniforms a
+    # lane (a segment's, kept by the loop, and the next draw) bound the peak;
+    # a growth copy (4.9 MB) or 8-byte states would not fit
     spec = chains.nonarith_k2()
     walksim.annealed_position_sample(spec, 10, 8, seed=5)
     tracemalloc.start()
@@ -169,7 +182,47 @@ def test_position_window_costs_one_byte_per_site_and_lane():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 512 * (_lane_bytes(3000) + 8 * walksim._EXTEND_CHUNK)
+
+
+def _positions_alone(spec, n_steps, replicas, seed):
+    """Scalar reference for annealed_position_sample: replica ``i`` samples
+    its window over every site it can reach from ``derive_rng(seed, i)``,
+    then walks it with one uniform per step of the same stream."""
+    out = np.empty(replicas, dtype=np.int64)
+    for i in range(replicas):
+        rng = derive_rng(seed, i)
+        omega = walksim.sample_environment(spec, n_steps, n_steps, rng).omega.tolist()
+        pos = n_steps  # the origin's index
+        for u in rng.random(n_steps).tolist():
+            pos += 1 if u < omega[pos] else -1
+        out[i] = pos - n_steps
+    return out
+
+
+@pytest.mark.parametrize("spec", [chains.nonarith_k2(), DEEP, chains.chain_mk_k2()],
+                         ids=["nonarith_k2", "deep", "chain_mk_k2"])
+def test_position_sample_matches_scalar_reference_in_law(monkeypatch, spec):
+    # 2000 replicas of 500 steps: at the default budget one full-height batch
+    # of 2000 lanes; with none, four 500-lane batches whose windows grow by
+    # copies (DEEP's on the left, about 150 sites down)
+    ref = _positions_alone(spec, 500, 2000, seed=41)
+    full = walksim.annealed_position_sample(spec, 500, 2000, seed=42)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
+    several = walksim.annealed_position_sample(spec, 500, 2000, seed=43)
+    for x in (full, several):
+        assert stats.ks_2samp(ref, x).pvalue > 0.01
+
+
+@pytest.mark.parametrize("rho, sign", [(1e-15, 1), (1e15, -1)])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 640, 1001])
+def test_position_sample_reaches_the_full_height_edge(rho, sign, n_steps):
+    # omega within 1e-15 of 1 or of 0: every lane walks straight to +n_steps
+    # or -n_steps, the last site the full-height window holds, and the fills
+    # that follow it stay inside the buffer
+    spec = chains.single_state(rho, epsilon=1e-16)
+    x = walksim.annealed_position_sample(spec, n_steps, 40, seed=1)
+    assert x.tolist() == [sign * n_steps] * 40
 
 
 def test_blocks_sample_golden():
@@ -195,16 +248,17 @@ LEFT_MOVE_P = [0.026, 0.0310, 20 / 23, 0.975]
 LEFT_MOVE_ALPHA = 1e-4
 
 
-def _left_moves_checked(rng, size, p, max_odds):
-    """``_left_moves``, asserting which draw ran: a call with at most
+def _left_moves_checked(rng, size, states, omega, max_odds):
+    """``_left_moves`` on lanes in ``states`` of the per-state table
+    ``omega``, asserting which draw ran: a call with at most
     ``_BROOD_FACTOR`` broods per lane takes one uniform per brood from
     ``rng``, any other one numpy negative-binomial call, size 0 drawn as 1."""
     twin = copy.deepcopy(rng)
-    draws = walksim._left_moves(rng, size, p, max_odds)
+    draws = walksim._left_moves(rng, size, states, omega, np.log1p(-omega), max_odds)
     if size.sum() <= walksim._BROOD_FACTOR * size.size:
         twin.random(int(size.sum()))
     else:
-        twin.negative_binomial(np.maximum(size, 1), p)
+        twin.negative_binomial(np.maximum(size, 1), omega[states])
     assert twin.bit_generator.state == rng.bit_generator.state
     return draws
 
@@ -220,7 +274,8 @@ def test_left_moves_follow_negative_binomial(size, extra):
     for p in LEFT_MOVE_P:
         sizes = np.full(10**5, size)
         sizes[-1] += extra
-        draws = _left_moves_checked(rng, sizes, np.full(10**5, p), 1 / p)[:-1]
+        draws = _left_moves_checked(rng, sizes, np.zeros(10**5, dtype=np.int64),
+                                    np.array([p]), 1 / p)[:-1]
         assert _nbinom_chi2_pvalue(draws, size, p) > LEFT_MOVE_ALPHA, (size, p)
 
 
@@ -232,9 +287,10 @@ def test_left_moves_mixed_lanes_follow_their_own_law():
     cut = [(1, 0.0310), (2, 20 / 23), (4, 0.975), (9, 0.026)]
     for key, (cases, extra) in enumerate([(heavy, 0), (cut, 0), (cut, 1)]):
         size = np.tile([s for s, _ in cases], 10**5)
-        p = np.tile([q for _, q in cases], 10**5)
+        states = np.tile(np.arange(len(cases)), 10**5)  # lane k of a tile in state k
+        omega = np.array([q for _, q in cases])
         size[-1] += extra
-        draws = _left_moves_checked(derive_rng(22, 0, key), size, p, 1 / 0.026)
+        draws = _left_moves_checked(derive_rng(22, 0, key), size, states, omega, 1 / 0.026)
         draws = draws[:-len(cases)]  # the last tile holds the extra brood
         for k, (s, q) in enumerate(cases):
             pvalue = _nbinom_chi2_pvalue(draws[k::len(cases)], s, q)
@@ -247,7 +303,8 @@ def test_left_moves_of_size_zero_are_zero(size):
     # brood to count, and a numpy draw ([0, 100, 0]: 33 broods a lane), which
     # refuses size 0 itself
     size = np.array(size, dtype=np.int64)
-    draws = _left_moves_checked(derive_rng(23, size.size), size, np.full(size.size, 0.3), 3.0)
+    draws = _left_moves_checked(derive_rng(23, size.size), size, np.zeros_like(size),
+                                np.array([0.3]), 3.0)
     assert draws.shape == size.shape and draws.dtype == np.int64
     assert np.all(draws[size == 0] == 0) and np.all(draws[size > 0] >= 0)
 
@@ -256,7 +313,9 @@ def test_left_moves_total_beyond_int64_does_not_wrap():
     # 16 lanes of 2**59 broods sum to 2**63, which wraps to a negative int64
     # total; the choice of draw must not read it as a small call
     size = np.full(16, 2**59, dtype=np.int64)
-    draws = walksim._left_moves(derive_rng(24, 0), size, np.full(16, 0.5), 1.0)
+    omega = np.array([0.5])
+    draws = walksim._left_moves(derive_rng(24, 0), size, np.zeros_like(size), omega,
+                                np.log1p(-omega), 1.0)
     assert np.all(draws > 2**58)
 
 
