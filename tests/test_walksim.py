@@ -96,8 +96,8 @@ def _lane_bytes(n_steps):
 
 def test_position_sample_golden_across_batches(monkeypatch):
     # a budget of 300 lanes: 600 replicas run as two full-height batches of
-    # 300 (the parent's draws for 300-lane batches); the walks drift right,
-    # so every batch fills its window on the right
+    # 300, whose draws are those of 300-lane batches grown by copies; the
+    # walks drift right, so every batch fills its window on the right
     monkeypatch.setattr(walksim, "_WINDOW_BYTES", 300 * _lane_bytes(3000))
     x = walksim.annealed_position_sample(chains.nonarith_k2(), 3000, 600, seed=5)
     assert (x.min(), x.max()) == (1582, 2308)
