@@ -28,10 +28,11 @@ Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, filled in place, edges tested on a
 countdown.  The buffer holds each site's chain state in the narrowest
 unsigned type (one byte a site and lane up to 256 states), each row written
-in place by ``chain_move``; a step reads ``omega`` off it.  Batches are as
-wide as ``_WINDOW_BYTES`` allows, which then holds a batch's whole reach, so
-the buffer is never copied.  The steps before a countdown runs out draw
-their uniforms in one call, as does each fill of the window.
+in place by ``chain_move``; a step reads ``omega`` off it.  The buffer
+holds every site a lane can reach from the start, so it is never copied,
+and batches are as wide as ``_WINDOW_BYTES`` allows for that.  The steps
+before a countdown runs out draw their uniforms in one call, as does each
+fill of the window.
 """
 
 from __future__ import annotations
@@ -561,21 +562,20 @@ def annealed_position_sample(
     Their environments share one site-major buffer: row ``r`` holds every
     lane's chain state at one site, in the narrowest unsigned type that
     holds ``n_states - 1``, and a lane at row ``r`` reads flat index
-    ``r * lanes + lane`` and then that state's ``omega``.  A batch that fits
-    ``_WINDOW_BYTES`` gets every row up front, ``n_steps + _EXTEND_CHUNK``
-    on each side of the origin, and is never copied; any other starts with
-    ``2 * _EXTEND_CHUNK`` rows a side, half of them filled.  After a step that
-    leaves a lane on a window edge, that side is filled ``_EXTEND_CHUNK``
-    sites further (left before right) from the edge row's states, in
-    place, or first into a copy with a window's height of head-room added
-    on both sides when the buffer ends short of the fill.  A lane moves one
-    site per step, so the edges are re-measured only when a countdown, the
-    distance from the nearest edge to its closest lane, runs out.  The
-    steps up to then form a segment: no edge moves inside it, so its
-    uniforms come from one ``rng.random((steps, lanes))`` call, row by row
-    the same stream as one call per step.  Each fill draws its
-    ``_EXTEND_CHUNK`` rows of chain uniforms in one call too.  Deterministic
-    for fixed ``(spec, n_steps, replicas, seed)``.
+    ``r * lanes + lane`` and then that state's ``omega``.  The buffer has
+    every row a lane can reach from the start, ``n_steps + _EXTEND_CHUNK``
+    on each side of the origin, and is never copied; ``np.empty`` leaves
+    rows that are never written out of the resident set.  The window
+    starts ``_EXTEND_CHUNK`` sites a side.  After a step that leaves a lane
+    on a window edge, that side is filled ``_EXTEND_CHUNK`` sites further
+    (left before right) from the edge row's states, in place.  A lane
+    moves one site per step, so the edges are re-measured only when a
+    countdown, the distance from the nearest edge to its closest lane,
+    runs out.  The steps up to then form a segment: no edge moves inside
+    it, so its uniforms come from one ``rng.random((steps, lanes))`` call,
+    row by row the same stream as one call per step.  Each fill draws its
+    ``_EXTEND_CHUNK`` rows of chain uniforms in one call too.
+    Deterministic for fixed ``(spec, n_steps, replicas, seed)``.
     """
     if n_steps < 0 or replicas < 0:
         raise ModelError("step count and replicas must be nonnegative")
@@ -586,8 +586,7 @@ def annealed_position_sample(
     out = np.empty(replicas, dtype=np.int64)
     for b in range(batches):
         part = out[b * replicas // batches:(b + 1) * replicas // batches]
-        rows = height if part.size * lane_bytes <= _WINDOW_BYTES else 4 * _EXTEND_CHUNK + 1
-        part[:] = _position_batch(spec, n_steps, np.empty((rows, part.size), state),
+        part[:] = _position_batch(spec, n_steps, np.empty((height, part.size), state),
                                   derive_rng(seed, b))
     return out
 
@@ -609,7 +608,7 @@ def _position_batch(spec, n_steps, buf, rng):
     buf[origin] = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
     fill(range(origin - 1, lo - 1, -1), table.cum_fwd)
     fill(range(origin + 1, hi + 1), table.cum_rev)
-    idx = origin * lanes + np.arange(lanes)
+    idx, flat = origin * lanes + np.arange(lanes), buf.ravel()
     # step buffers; take's default mode would copy through a temporary, and
     # every index here lies inside its table, so "clip" never clips
     st, om = np.empty(lanes, dtype=buf.dtype), np.empty(lanes)
@@ -619,7 +618,6 @@ def _position_batch(spec, n_steps, buf, rng):
     while True:
         # no lane can reach an edge within the segment: its uniforms come at once
         seg = min(countdown, n_steps)
-        flat = buf.ravel()
         for u in rng.random((seg, lanes)):
             flat.take(idx, out=st, mode="clip")
             spec.omega.take(st, out=om, mode="clip")
@@ -629,17 +627,11 @@ def _position_batch(spec, n_steps, buf, rng):
         n_steps -= seg
         if not n_steps:
             return idx // lanes - origin
-        below, above = idx.min() // lanes == lo, idx.max() // lanes == hi
-        if (below and lo < chunk) or (above and hi + chunk >= len(buf)):  # a fill would overrun
-            shift = hi - lo + 1
-            new = np.empty((len(buf) + 2 * shift, lanes), dtype=buf.dtype)
-            new[lo + shift:hi + shift + 1] = buf[lo:hi + 1]
-            buf, lo, hi, origin = new, lo + shift, hi + shift, origin + shift
-            idx += shift * lanes
-        if below:
+        del u  # the segment's uniform block, before the fills draw theirs
+        if idx.min() // lanes == lo:
             fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd)
             lo -= chunk
-        if above:
+        if idx.max() // lanes == hi:
             fill(range(hi + 1, hi + chunk + 1), table.cum_rev)
             hi += chunk
         countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)

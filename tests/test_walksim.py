@@ -95,8 +95,7 @@ def _lane_bytes(n_steps):
 
 
 def test_position_sample_golden_across_batches(monkeypatch):
-    # a budget of 300 lanes: 600 replicas run as two full-height batches of
-    # 300, whose draws are those of 300-lane batches grown by copies; the
+    # a budget of 300 lanes: 600 replicas run as two batches of 300; the
     # walks drift right, so every batch fills its window on the right
     monkeypatch.setattr(walksim, "_WINDOW_BYTES", 300 * _lane_bytes(3000))
     x = walksim.annealed_position_sample(chains.nonarith_k2(), 3000, 600, seed=5)
@@ -132,7 +131,7 @@ def test_position_sample_golden_short_of_first_countdown(monkeypatch):
 def test_position_sample_golden_off_window_multiple(monkeypatch, spec, n_steps, replicas,
                                                     seed, batch, lo_hi, digest):
     # step counts that are no multiple of the 64-site window extension; no
-    # budget, so the windows start short and grow by copies
+    # budget, so the batches are _POSITION_BATCH wide
     monkeypatch.setattr(walksim, "_POSITION_BATCH", batch)
     monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
     x = walksim.annealed_position_sample(spec, n_steps, replicas, seed=seed)
@@ -171,9 +170,10 @@ def test_position_sample_on_one_state_is_a_binomial_walk():
 
 def test_position_window_costs_one_byte_per_site_and_lane():
     # 512 lanes walk about 2,400 sites right in 3000 steps on a full-height
-    # window of one-byte states: that buffer and two blocks of 64 uniforms a
-    # lane (a segment's, kept by the loop, and the next draw) bound the peak;
-    # a growth copy (4.9 MB) or 8-byte states would not fit
+    # window of one-byte states: that buffer, one block of 64 uniforms a lane
+    # and the step's and a chain move's lane vectors (under 96 bytes a lane)
+    # bound the peak; a growth copy, a second live block of uniforms (512
+    # bytes a lane) or 8-byte states would not fit
     spec = chains.nonarith_k2()
     walksim.annealed_position_sample(spec, 10, 8, seed=5)
     tracemalloc.start()
@@ -182,7 +182,7 @@ def test_position_window_costs_one_byte_per_site_and_lane():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 512 * (_lane_bytes(3000) + 8 * walksim._EXTEND_CHUNK)
+    assert peak < 512 * (_lane_bytes(3000) + 96)
 
 
 def _positions_alone(spec, n_steps, replicas, seed):
@@ -203,9 +203,9 @@ def _positions_alone(spec, n_steps, replicas, seed):
 @pytest.mark.parametrize("spec", [chains.nonarith_k2(), DEEP, chains.chain_mk_k2()],
                          ids=["nonarith_k2", "deep", "chain_mk_k2"])
 def test_position_sample_matches_scalar_reference_in_law(monkeypatch, spec):
-    # 2000 replicas of 500 steps: at the default budget one full-height batch
-    # of 2000 lanes; with none, four 500-lane batches whose windows grow by
-    # copies (DEEP's on the left, about 150 sites down)
+    # 2000 replicas of 500 steps: at the default budget one batch of 2000
+    # lanes; with none, four batches of 500 (DEEP's windows fill on the left,
+    # about 150 sites down)
     ref = _positions_alone(spec, 500, 2000, seed=41)
     full = walksim.annealed_position_sample(spec, 500, 2000, seed=42)
     monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
@@ -218,8 +218,8 @@ def test_position_sample_matches_scalar_reference_in_law(monkeypatch, spec):
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 640, 1001])
 def test_position_sample_reaches_the_full_height_edge(rho, sign, n_steps):
     # omega within 1e-15 of 1 or of 0: every lane walks straight to +n_steps
-    # or -n_steps, the last site the full-height window holds, and the fills
-    # that follow it stay inside the buffer
+    # or -n_steps, so one side of its full-height window fills to within a
+    # fill of the buffer's end, and no fill overruns it
     spec = chains.single_state(rho, epsilon=1e-16)
     x = walksim.annealed_position_sample(spec, n_steps, 40, seed=1)
     assert x.tolist() == [sign * n_steps] * 40
