@@ -85,6 +85,17 @@ def nonarith_k15() -> EnvironmentSpec:
     )
 
 
+def three_state() -> EnvironmentSpec:
+    """Three states, odds (1/4, 7/13, 11/9), every transition possible: a
+    right-transient chain whose chain moves compare two cumulative columns."""
+    return EnvironmentSpec(
+        states=("calm", "mild", "rough"),
+        H=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.4, 0.2, 0.4]]),
+        omega=np.array([0.8, 0.65, 0.45]),
+        epsilon=0.05,
+    )
+
+
 def single_state(rho: float, epsilon: float = 0.05) -> EnvironmentSpec:
     return EnvironmentSpec(
         states=("only",),

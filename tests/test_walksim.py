@@ -230,6 +230,26 @@ def test_blocks_sample_golden():
     assert _sha(h.values) == "6c821924e6b21c7c"
 
 
+# sha256 prefixes of forced_crossings(spec, n, replicas, derive_rng(seed, 0))
+# (counts, totals, states concatenated) and of annealed_hitting_sample(spec,
+# n, replicas, seed).values: three_state takes the brood draw at all but one
+# site and moves its chain on two cumulative columns; nonarith_sub1 takes
+# numpy's negative-binomial draw at all but a few
+CROSSINGS_GOLDEN = {
+    ("three_state", 400, 500, 12): ("f7517671a41ed7f4", "ce7f611b80482b09"),
+    ("nonarith_sub1", 200, 300, 13): ("70d7c72917b2388d", "108933ff2bc9357c"),
+}
+
+
+@pytest.mark.parametrize("name, n, replicas, seed", list(CROSSINGS_GOLDEN))
+def test_forced_crossings_and_hitting_sample_golden(name, n, replicas, seed):
+    spec = getattr(chains, name)()
+    crossings = walksim.forced_crossings(spec, n, replicas, derive_rng(seed, 0))
+    hitting = walksim.annealed_hitting_sample(spec, n, replicas, seed)
+    digests = _sha(np.concatenate(crossings)), _sha(hitting.values)
+    assert digests == CROSSINGS_GOLDEN[name, n, replicas, seed]
+
+
 def _nbinom_chi2_pvalue(draws, size, p, bins=40):
     """Chi-square p-value of ``draws`` against NB(size, p): the cells lie
     between quantiles of the law, the tails pooled into the end cells."""
