@@ -172,19 +172,20 @@ def chain_move(
     ``cum`` lie at or below ``u[i]`` (``searchsorted(side="right")``
     semantics, so a zero-probability state is never entered), summed one
     cumulative column at a time.  The counts come back as int64, or are
-    written into ``out`` and returned: one unsigned entry a lane, of a type
-    that holds ``K - 1``.
+    written into ``out`` and returned: one entry a lane, of any integer type
+    that holds ``K - 1`` (int64 included), and not ``states`` itself.
 
     Precondition, not checked: every row of ``cum`` ends at exactly 1.0, as
     :func:`closed_cumsum` leaves it, and every ``u`` lies in ``[0, 1)``, as
-    ``rng.random`` draws it.  The last column then never counts and is not
-    compared."""
-    # count in the narrowest type that holds K - 1, widened once at the end
-    count = np.empty(states.shape[0], np.min_scalar_type(cum.shape[1] - 1)) if out is None else out
-    count.fill(0)
-    for k in range(cum.shape[1] - 1):
-        count += u >= cum[:, k].take(states)
-    return count.astype(np.int64) if out is None else count
+    ``rng.random`` draws it.  The last column then never counts and, but
+    for K = 1, is not compared."""
+    count = np.empty(states.shape[0], np.int64) if out is None else out
+    # "clip" never clips a valid state; at K = 1 column 0 is the closing 1.0
+    col = cum[:, 0].take(states, mode="clip")
+    np.greater_equal(u, col, out=count)
+    for k in range(1, cum.shape[1] - 1):
+        count += u >= cum[:, k].take(states, out=col, mode="clip")
+    return count
 
 
 def chain_walk(rows: list[list[float]], s: int, uniforms: list[float]) -> list[int]:

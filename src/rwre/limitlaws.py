@@ -36,7 +36,7 @@ from scipy.special import ndtr
 
 from . import spectral, speed, walksim
 from ._rng import derive_rng
-from .envmodel import EnvironmentSpec, detect_arithmetic
+from .envmodel import EnvironmentSpec, _read_only, detect_arithmetic
 from .errors import ModelError, NumericalError
 
 __all__ = [
@@ -217,10 +217,16 @@ def _ref_quantile(kappa: float, p: float) -> float:
     return float(0.5 * (grid[0] + grid[-1]))
 
 
-def _ks_distance(sorted_samples: np.ndarray, cdf_vals: np.ndarray) -> float:
-    n = sorted_samples.size
+@lru_cache(maxsize=8)
+def _ks_ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``i / n`` and ``(i + 1) / n``, shared by a fit's KS scores."""
     i = np.arange(n)
-    return float(np.max(np.maximum(cdf_vals - i / n, (i + 1) / n - cdf_vals)))
+    return _read_only(i / n), _read_only((i + 1) / n)
+
+
+def _ks_distance(sorted_samples: np.ndarray, cdf_vals: np.ndarray) -> float:
+    lo, hi = _ks_ramps(sorted_samples.size)
+    return float(np.max(np.maximum(cdf_vals - lo, hi - cdf_vals)))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ Hitting times come two ways:
   negative-binomial draws (one crossing is forced through every edge
   between the origin and the target), so the hitting time is
   reconstructed per site instead of per step: one uniform per geometric
-  brood, or one numpy negative-binomial call where a site has many broods
-  per lane.  It is distributionally identical to the reference path and
-  is validated against it in the test suite.
+  brood and then the chain move's in one ``rng.random`` call, or numpy's
+  negative-binomial draw where a site has many broods per lane and then
+  the move's.  It equals the reference path in law, as the tests check.
 
 Environment windows are two-sided, come from a model and extend
 themselves on demand.
@@ -448,32 +448,37 @@ class _Lockstep:
             t += stop
 
 
-def _left_moves(rng, size, states, omega, log_q, max_odds: float) -> np.ndarray:
+def _left_moves(rng, size, states, lanes, omega, log_q, max_odds: float, moves: int = 0):
     """Negative-binomial left-move counts NB(size, omega[states]), checked
-    before the draw.
+    before the draw, and the stream's next ``moves`` uniforms after it.
 
     A lane's count is the sum of ``size`` geometric broods, the right steps
     before each left step, ``floor(log1p(-U) / log_q[state])`` from one
     uniform each, ``log_q`` being the per-state table ``log1p(-omega)``
-    (Devroye 1986, ch. X).  All the uniforms of a call come from one
-    ``rng.random`` call in lane order, and one ``bincount`` sums every
-    lane's broods (whole floats, so exact below 2**53); a lane of size 0
-    gets 0.  A call with more than ``_BROOD_FACTOR`` broods per lane goes
-    to numpy's ``negative_binomial`` in one call instead.  numpy refuses a
-    draw whose mean ``size (1 - p) / p`` nears 2**63 (its Poisson rate
-    limit).  The count has exploded long before that, so a mean bound
-    ``max(size) * max_odds`` above ``_EXPLOSION_LIMIT`` is a
-    ``NumericalError``.  The check consumes no draws.
+    (Devroye 1986, ch. X).  One ``rng.random`` call draws the broods, in
+    lane order, and the ``moves``; one ``bincount`` over ``lanes``
+    (``arange(size.size)``) sums every lane's broods (whole floats, so exact
+    below 2**53); a lane of size 0 gets 0.  Above ``_BROOD_FACTOR`` broods a
+    lane, one numpy ``negative_binomial`` call draws the counts instead,
+    before the ``moves``.  numpy refuses a mean ``size (1 - p) / p`` near
+    2**63 (its Poisson rate limit), long after the count has exploded: a
+    bound ``max(size) * max_odds`` above ``_EXPLOSION_LIMIT`` is a
+    ``NumericalError``.  The maximum is read only if the float total, never
+    below it, is past the bound, and the check consumes no draws.
     """
-    if size.max(initial=0) * max_odds > _EXPLOSION_LIMIT:
-        raise NumericalError("left-move count explosion")
     total = size.sum(dtype=float)  # a float total cannot wrap
+    if total * max_odds > _EXPLOSION_LIMIT and size.max() * max_odds > _EXPLOSION_LIMIT:
+        raise NumericalError("left-move count explosion")
     if total > _BROOD_FACTOR * size.size:  # numpy refuses size 0: those lanes' draws are dropped
-        return np.where(size > 0, rng.negative_binomial(np.maximum(size, 1), omega[states]), 0)
-    lane = np.arange(size.size).repeat(size)  # each brood's lane, in lane order
-    broods = np.log1p(-rng.random(int(total)))
+        counts = np.where(size > 0, rng.negative_binomial(np.maximum(size, 1), omega[states]), 0)
+        return counts, rng.random(moves)
+    u = rng.random(int(total) + moves)
+    broods = u[:int(total)]
+    np.log1p(np.negative(broods, out=broods), out=broods)
+    lane = lanes.repeat(size)  # each brood's lane, in lane order
     broods /= log_q.take(states).take(lane)
-    return np.bincount(lane, np.floor(broods, out=broods), size.size).astype(np.int64)
+    counts = np.bincount(lane, np.floor(broods, out=broods), size.size).astype(np.int64)
+    return counts, u[int(total):]
 
 
 def forced_crossings(
@@ -484,18 +489,21 @@ def forced_crossings(
 
     A site's count is negative-binomial with size (count above + 1), the
     sum of that many geometric broods (:func:`_left_moves`), then the chain
-    moves one site down.  Returns the last site's counts, each replica's
-    total and the states below the last site.  Read as one generation per
-    site, this is the branching process with immigration.
+    moves one site down on the uniforms that draw returns.  Returns the last
+    site's counts, each replica's total and the states below the last site:
+    one generation per site of the branching process with immigration.
     """
     law = spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
+    lanes = np.arange(replicas)
     states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
+    spare = np.empty_like(states)  # the chain moves' output, swapped with states
     counts = np.zeros(replicas, dtype=np.int64)
     total = np.zeros(replicas, dtype=np.int64)
     for _ in range(sites):
-        counts = _left_moves(rng, counts + 1, states, *law)
+        counts += 1  # this site's sizes
+        counts, u = _left_moves(rng, counts, states, lanes, *law, moves=replicas)
         total += counts
-        states = chain_move(spec.chain.cum_fwd, states, rng.random(replicas))
+        states, spare = chain_move(spec.chain.cum_fwd, states, u, out=spare), states
     return counts, total, states
 
 
@@ -534,7 +542,7 @@ def annealed_hitting_sample(
         depth += 1
         if depth > 100_000:
             raise NumericalError("walk excursion below origin did not terminate")
-        counts = _left_moves(rng, counts, states, *law)
+        counts = _left_moves(rng, counts, states, np.arange(counts.size), *law)[0]
         total[active] += counts
         keep = counts > 0
         active = active[keep]

@@ -268,17 +268,20 @@ LEFT_MOVE_P = [0.026, 0.0310, 20 / 23, 0.975]
 LEFT_MOVE_ALPHA = 1e-4
 
 
-def _left_moves_checked(rng, size, states, omega, max_odds):
+def _left_moves_checked(rng, size, states, omega, max_odds, moves=0):
     """``_left_moves`` on lanes in ``states`` of the per-state table
     ``omega``, asserting which draw ran: a call with at most
     ``_BROOD_FACTOR`` broods per lane takes one uniform per brood from
-    ``rng``, any other one numpy negative-binomial call, size 0 drawn as 1."""
+    ``rng``, any other one numpy negative-binomial call, size 0 drawn as 1;
+    the ``moves`` uniforms it returns are the stream's next ones."""
     twin = copy.deepcopy(rng)
-    draws = walksim._left_moves(rng, size, states, omega, np.log1p(-omega), max_odds)
+    draws, u = walksim._left_moves(rng, size, states, np.arange(size.size), omega,
+                                   np.log1p(-omega), max_odds, moves)
     if size.sum() <= walksim._BROOD_FACTOR * size.size:
         twin.random(int(size.sum()))
     else:
         twin.negative_binomial(np.maximum(size, 1), omega[states])
+    assert u.shape == (moves,) and np.array_equal(u, twin.random(moves))
     assert twin.bit_generator.state == rng.bit_generator.state
     return draws
 
@@ -310,7 +313,8 @@ def test_left_moves_mixed_lanes_follow_their_own_law():
         states = np.tile(np.arange(len(cases)), 10**5)  # lane k of a tile in state k
         omega = np.array([q for _, q in cases])
         size[-1] += extra
-        draws = _left_moves_checked(derive_rng(22, 0, key), size, states, omega, 1 / 0.026)
+        draws = _left_moves_checked(derive_rng(22, 0, key), size, states, omega, 1 / 0.026,
+                                    moves=size.size)
         draws = draws[:-len(cases)]  # the last tile holds the extra brood
         for k, (s, q) in enumerate(cases):
             pvalue = _nbinom_chi2_pvalue(draws[k::len(cases)], s, q)
@@ -324,7 +328,7 @@ def test_left_moves_of_size_zero_are_zero(size):
     # refuses size 0 itself
     size = np.array(size, dtype=np.int64)
     draws = _left_moves_checked(derive_rng(23, size.size), size, np.zeros_like(size),
-                                np.array([0.3]), 3.0)
+                                np.array([0.3]), 3.0, moves=size.size)
     assert draws.shape == size.shape and draws.dtype == np.int64
     assert np.all(draws[size == 0] == 0) and np.all(draws[size > 0] >= 0)
 
@@ -334,8 +338,8 @@ def test_left_moves_total_beyond_int64_does_not_wrap():
     # total; the choice of draw must not read it as a small call
     size = np.full(16, 2**59, dtype=np.int64)
     omega = np.array([0.5])
-    draws = walksim._left_moves(derive_rng(24, 0), size, np.zeros_like(size), omega,
-                                np.log1p(-omega), 1.0)
+    draws = walksim._left_moves(derive_rng(24, 0), size, np.zeros_like(size), np.arange(16),
+                                omega, np.log1p(-omega), 1.0)[0]
     assert np.all(draws > 2**58)
 
 
