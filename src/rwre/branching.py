@@ -282,8 +282,7 @@ def branching_vs_walk_check(
     against partial population sums of the branching process over the same
     horizon; the two have the same annealed distribution.
     """
-    # left moves at sites 1..n; a walk's deepest site is never above 0
-    walk_sums = [rec.left_moves[1 - rec.deepest_site:].sum()
+    walk_sums = [rec.left_moves_above
                  for rec in reference_walks(spec, n, replicas, seed) if not rec.censored]
     if len(walk_sums) < replicas // 2:
         raise NumericalError("too many censored walk replicas for the comparison")

@@ -3,10 +3,14 @@
 Hitting times come two ways:
 
 * ``reference_walks`` — the reference path and the oracle: one uniform per
-  step against the site probability, per-replica derived streams.  A
-  record keeps the steps taken, the censoring flag, the deepest site and
-  the left moves made from every site, which is what ``simulate-walk`` and
-  the per-path identity ``T = n + 2 * (left moves)`` read.
+  step against the site probability.  Replicas run as lanes of lockstep
+  batches, every draw of a batch from one stream, on a site-major window
+  of one-byte chain states; the last few live lanes of a batch are
+  finished one by one by the scalar loop of ``run_to_hit``.  A record
+  keeps the steps taken, the censoring flag, the total left moves and
+  those made from sites >= 1, which is what ``simulate-walk``, the
+  per-path identity ``T = n + 2 * (left moves)`` and the branching check
+  read.
 * ``annealed_hitting_sample`` — the sampling API: the per-site left-move
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
@@ -18,11 +22,6 @@ Hitting times come two ways:
 
 Environment windows are two-sided, come from a model and extend
 themselves on demand.
-
-``reference_walks`` runs the reference path in lockstep over batches of
-lanes, each lane on its own streams, and hands the last few live lanes of
-a batch to the scalar loop of ``run_to_hit``; every record equals the one
-``run_to_hit`` gives that lane alone.
 
 Positions come from ``annealed_position_sample``: lockstep lanes of walks
 on one site-major window buffer, filled in place, edges tested on a
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_rng, derive_rngs
+from ._rng import derive_rng
 from .envmodel import EnvironmentSpec, chain_move, chain_walk
 from .errors import ModelError, NumericalError
 
@@ -66,9 +65,7 @@ _EXPLOSION_LIMIT = 2**60
 # a numpy draw 80 ns a lane plus 35 us a call, so the two meet near 7 broods
 # a lane; 4 also caps a call's brood buffers at 4 floats a lane.
 _BROOD_FACTOR = 4
-_BATCH_BYTES = 8 << 20  # memory budget of one lockstep batch of reference walks
 _FINISH_LANES = 48  # a batch with at most this many live lanes finishes them one by one
-_WALK_CHUNK = 256  # walk uniforms drawn per lockstep lane at a time
 _SCALAR_CHUNK = 8192  # walk uniforms drawn at a time by the scalar loop
 _POSITION_BATCH = 512  # fewest lockstep lanes in a batch of annealed_position_sample
 # Bytes of a position batch's lanes at full height, window and a fill's uniforms:
@@ -76,6 +73,9 @@ _POSITION_BATCH = 512  # fewest lockstep lanes in a batch of annealed_position_s
 # about 2.4 * 10**4 up.  One 2000-lane batch (41 MB) ran a little faster, but past
 # glibc's 32 MiB mmap threshold it took fresh pages and 8 MB more peak RSS.
 _WINDOW_BYTES = 24 << 20
+# Largest window a position batch reserves: past n_steps of about 2.6 * 10**5 a
+# batch runs narrower than _POSITION_BATCH rather than ask for a GB per 10**6 steps.
+_ADDRESS_BYTES = 256 << 20
 
 
 @dataclass
@@ -151,38 +151,15 @@ class WalkRecord:
     """One quenched walk run to a target site (or to the step budget)."""
 
     n_target: int
-    left_moves: np.ndarray  # per-site left-move counts for sites deepest..n_target
-    deepest_site: int
     steps: int  # the hitting time of n_target unless censored
     censored: bool
+    left_moves: int  # left moves made, from every site
+    left_moves_above: int  # left moves made from sites >= 1
 
     @property
     def identity_holds(self) -> bool:
         """Exact bookkeeping identity: T = n + 2 * (total left moves)."""
-        return not self.censored and self.steps == self.n_target + 2 * int(self.left_moves.sum())
-
-
-@dataclass
-class _WalkState:
-    """A reference walk paused after ``t`` steps at site ``pos``.
-
-    ``deepest`` is the lowest site reached and ``U[i + env.left]`` the left
-    moves made from site ``i``; the walk's stream stands at its ``t + 1``-th
-    uniform.
-    """
-
-    pos: int
-    t: int
-    deepest: int
-    U: np.ndarray
-
-
-def _cover(env: EnvPath, n: int) -> None:
-    """Check the target site ``n`` and extend ``env`` up to site ``n - 1``."""
-    if n < 1:
-        raise ModelError(f"target site must be >= 1, got {n}")
-    while env.right < n - 1:
-        env.extend_right(max(_EXTEND_CHUNK, n - 1 - env.right))
+        return not self.censored and self.steps == self.n_target + 2 * self.left_moves
 
 
 def run_to_hit(
@@ -190,22 +167,23 @@ def run_to_hit(
     n: int,
     rng: np.random.Generator,
     step_cap: int = DEFAULT_STEP_CAP,
-    resume: _WalkState | None = None,
+    resume: tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> WalkRecord:
     """Reference quenched walk from the origin to the first visit of ``n``.
 
     One uniform per step, no shortcuts.  The environment window is extended
-    on demand.  ``resume`` continues a walk paused in that state on the
-    same ``env`` and ``rng``.
+    on demand.  ``resume`` continues, on the same ``env`` and ``rng``, a
+    walk paused at site ``pos`` after ``t`` steps with its left-move totals:
+    ``(pos, t, left_moves, left_moves_above)``.
     """
-    _cover(env, n)
-    if resume is None:
-        resume = _WalkState(0, 0, 0, np.zeros(env.left + n + 1, dtype=np.int64))
+    if n < 1:
+        raise ModelError(f"target site must be >= 1, got {n}")
+    if env.right < n - 1:
+        env.extend_right(max(_EXTEND_CHUNK, n - 1 - env.right))
     # Python lists: indexing them is several times cheaper than numpy's
     omega = env.omega.tolist()
     left = env.left
-    U = resume.U.tolist()  # site i at index i + left
-    pos, t, deepest = resume.pos, resume.t, resume.deepest
+    pos, t, moves, above = resume
     chunk = 64  # uniforms per draw, doubled up to _SCALAR_CHUNK: a lane near its end draws few
     while pos < n and t < step_cap:
         draws = rng.random(min(chunk, step_cap - t)).tolist()
@@ -217,22 +195,15 @@ def run_to_hit(
                 if pos == n:
                     break
             else:
-                U[pos + left] += 1
+                moves += 1
+                above += pos > 0
                 pos -= 1
-                if pos < deepest:
-                    deepest = pos
-                    if pos + left < 0:  # extend before the next step or the cap test
-                        env.extend_left()
-                        U = [0] * (env.left - left) + U
-                        omega = env.omega.tolist()
-                        left = env.left
-    return WalkRecord(
-        n_target=n,
-        left_moves=np.array(U[deepest + left:], dtype=np.int64),
-        deepest_site=deepest,
-        steps=t,
-        censored=pos < n,
-    )
+                if pos + left < 0:  # extend before the next step or the cap test
+                    env.extend_left()
+                    omega = env.omega.tolist()
+                    left = env.left
+    return WalkRecord(n_target=n, steps=t, censored=pos < n, left_moves=moves,
+                      left_moves_above=above)
 
 
 @dataclass(frozen=True)
@@ -256,196 +227,116 @@ def reference_walks(
 ) -> Iterator[WalkRecord]:
     """One reference walk to site ``n`` per replica, in replica order.
 
-    Replica ``idx`` samples its window over ``[-_EXTEND_CHUNK, n - 1]`` from
-    ``derive_rng(seed, idx, 0)`` and runs its walk on ``derive_rng(seed, idx, 1)``;
-    one ``derive_rngs`` call per batch derives both streams of every replica.
-    Replicas run in lockstep batches of as many lanes as ``_BATCH_BYTES``
-    holds; the records are those of ``run_to_hit`` on each replica alone.
-    A batch of at most ``_FINISH_LANES`` lanes (at large ``n`` every batch)
-    is walked one replica at a time by ``run_to_hit`` on windows from
-    ``sample_environment``, which beats ``_sample_windows`` on few lanes
-    (16 against 40 ms for twelve at ``n = 10**4``).
+    Replicas run in as few equal batches as a width of
+    ``_WINDOW_BYTES // lane_bytes`` lanes allows, a lane's bytes being its
+    starting window column and one segment's uniforms; batch ``b`` draws
+    every window site and step from the stream ``derive_rng(seed, b, 0)``
+    (:func:`_hitting_batch`).  Deterministic for fixed
+    ``(spec, n, replicas, seed, step_cap)``.
     """
     if n < 1:
         raise ModelError(f"target site must be >= 1, got {n}")
     if replicas < 0:
         raise ModelError("replicas must be nonnegative")
-    width = _batch_width(n)
-    for start in range(0, replicas, width):
-        ids = np.arange(start, min(start + width, replicas))
-        m = ids.size
-        rngs = derive_rngs(seed, np.column_stack([np.tile(ids, 2), np.repeat([0, 1], m)]))
-        env_rngs, walk_rngs = rngs[:m], rngs[m:]
-        if m <= _FINISH_LANES:
-            for env_rng, walk_rng in zip(env_rngs, walk_rngs):
-                env = sample_environment(spec, _EXTEND_CHUNK, n - 1, env_rng)
-                yield run_to_hit(env, n, walk_rng, step_cap)
-            continue
-        envs = _sample_windows(spec, _EXTEND_CHUNK, n - 1, env_rngs)
-        yield from _Lockstep(envs, n, walk_rngs, step_cap).run()
+    state = np.min_scalar_type(spec.n_states)  # a chain state or the sink
+    height = n + 2 * _EXTEND_CHUNK
+    lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
+    batches = -(-replicas // max(1, _WINDOW_BYTES // lane_bytes))
+    for b in range(batches):
+        width = (b + 1) * replicas // batches - b * replicas // batches
+        yield from _hitting_batch(spec, n, np.empty((height, width), state), step_cap,
+                                  derive_rng(seed, b, 0))
 
 
-def _batch_width(n: int) -> int:
-    """Lanes per batch: a lane is given eight int64 or float64 arrays over
-    its window (uniforms, states, omega, left moves, its record and room
-    for the buffers to grow), plus its walk uniforms.
+def _fill(buf, rows, cum, rng):
+    """One lockstep chain move per buffer row of ``rows`` from the row
+    before it (``rows.step`` back), written in place, the uniforms drawn at
+    once."""
+    for r, u in zip(rows, rng.random((len(rows), buf.shape[1]))):
+        chain_move(cum, buf[r - rows.step], u, out=buf[r])
 
-    Sizing it to the two lockstep buffers alone (16 bytes a site, hand-off
-    at ``2 * omega.nbytes``) keeps the records and cuts a tenth of the CPU
-    of 200 walks to ``n = 1000`` on ``chain-mk-k2``, but raises their peak
-    resident set from 110 to 127 MB, past the benchmark's 10% bound.
+
+def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
+    """Records of ``buf.shape[1]`` lockstep walks to site ``n``, in lane
+    order, every draw from ``rng``.
+
+    Row ``r`` of the site-major window ``buf`` holds every live lane's
+    chain state at site ``r - origin``: the origin row from ``cum_pi``, the
+    ``_EXTEND_CHUNK`` rows below it from ``cum_fwd`` and the rows up to
+    site ``n - 1`` from ``cum_rev``, each block of up to ``_EXTEND_CHUNK``
+    rows on one ``rng.random`` call.  The rows from site ``n`` up hold a
+    sink state whose ``omega`` is 1: a lane that hits ``n`` walks straight
+    up, and one found ``d`` rows above site ``n`` after ``t`` steps hit it
+    at step ``t - d``.  A left step adds one to the lane's total, and to
+    its total above the origin if made from a site >= 1.
+
+    The steps up to the next boundary form a segment whose uniforms come
+    from one ``rng.random((steps, lanes))`` call; it is no longer than the
+    distance from the lowest lane to the window's bottom row, from the
+    highest to its top row, or to ``step_cap``.  At a boundary the lanes in
+    the sink, or every lane at the cap, are recorded and their columns
+    dropped, and a lane on the bottom row grows the window downward by
+    ``_EXTEND_CHUNK`` rows.  Once at most ``_FINISH_LANES`` lanes are live,
+    each is finished in lane order by :func:`run_to_hit` on its column and
+    ``rng``.
     """
-    return max(1, _BATCH_BYTES // (64 * (n + _EXTEND_CHUNK) + 8 * _WALK_CHUNK))
-
-
-def _sample_windows(spec, left, right, rngs) -> list[EnvPath]:
-    """``sample_environment(spec, left, right, rng)`` for every stream in
-    ``rngs``: each lane's uniforms come from one call on its stream, and the
-    chain moves of every lane are made at once, one ``chain_move`` per site."""
-    if left < 0 or right < 0:
-        raise ModelError("window bounds must be nonnegative")
-    table = spec.chain
-    u = np.empty((len(rngs), left + right + 1))
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
-    states = np.empty(u.shape, dtype=np.int64)
-    s = states[:, left] = np.searchsorted(table.cum_pi, u[:, 0], side="right")
-    for k in range(1, left + 1):
-        s = states[:, left - k] = chain_move(table.cum_fwd, s, u[:, k])
-    s = states[:, left]
-    for k in range(left + 1, left + right + 1):
-        s = states[:, k] = chain_move(table.cum_rev, s, u[:, k])
-    omega = spec.omega[states]
-    return [EnvPath(left, right, w, st, spec, rng) for w, st, rng in zip(omega, states, rngs)]
-
-
-class _Lockstep:
-    """``run_to_hit(envs[i], n, rngs[i], step_cap)`` for every lane ``i``,
-    the lanes stepped together while more than ``_FINISH_LANES`` are live
-    and the buffers fit ``_BATCH_BYTES``.
-
-    Row ``i`` of ``omega`` and ``U`` (left moves) holds lane ``i``, column
-    ``c`` site ``c - z``; a lane at column ``c`` reads flat index
-    ``i * width + c``.  Lane ``i``'s window starts at column ``lo[i]``;
-    columns below it are head-room for left extensions, added for every
-    lane at once when one runs short.  Sites ``n`` and ``n + 1`` are a sink
-    (right, then back left), so a lane that hits ``n`` stays there, clear of
-    its record, until the next boundary retires it.  Each bounce adds one
-    to the lane's ``U`` at ``n + 1``, so a lane at ``pos`` in the sink at
-    step ``t`` hit ``n`` at step ``t - 2 * U[n + 1] - (pos - n)``.
-    """
-
-    def __init__(self, envs, n, rngs, step_cap):
-        for env in envs:
-            _cover(env, n)
-        self.envs, self.n, self.rngs, self.step_cap = envs, n, rngs, step_cap
-        self.z = max(env.left for env in envs)
-        self.lo = np.array([self.z - env.left for env in envs], dtype=np.int64)
-        shape = (len(envs), self.z + n + 2)
-        self.omega = np.empty(shape)
-        for row, lo, env in zip(self.omega, self.lo, envs):
-            row[lo:self.z + n] = env.omega[:env.left + n]
-        self.omega[:, self.z + n:] = (1.0, 0.0)
-        self.U = np.zeros(shape, dtype=np.int64)
-
-    def _extend(self, lane, idx, below) -> None:
-        """Extend the windows of lanes ``lane[below]``, each one site below
-        its window, first adding head-room for every lane if one runs short;
-        ``idx`` follows the buffers in place."""
-        width = self.omega.shape[1]
-        if self.lo[lane[below]].min() < _EXTEND_CHUNK:
-            def pad(a):
-                return np.concatenate([np.zeros((a.shape[0], width), a.dtype), a], axis=1)
-            self.omega, self.U = pad(self.omega), pad(self.U)
-            self.z += width
-            self.lo += width
-            idx += (lane + 1) * width  # flat i * 2 * width + c + width
-        for i in lane[below]:
-            self.envs[i].extend_left()
-            self.lo[i] -= _EXTEND_CHUNK
-            self.omega[i, self.lo[i]:self.lo[i] + _EXTEND_CHUNK] = \
-                self.envs[i].omega[:_EXTEND_CHUNK]
-
-    def _deepest(self, i: int) -> int:
-        # a left move from site s reached s - 1: the lowest such s gives the deepest site
-        moved = np.flatnonzero(self.U[i, self.lo[i]:self.z + 1])
-        return min(0, int(self.lo[i] + moved[0]) - self.z - 1) if moved.size else 0
-
-    def _record(self, i, steps, censored) -> WalkRecord:
-        z, deepest = self.z, self._deepest(i)
-        return WalkRecord(
-            n_target=self.n,
-            left_moves=self.U[i, z + deepest:z + self.n + 1].copy(),
-            deepest_site=deepest,
-            steps=steps,
-            censored=censored,
-        )
-
-    def run(self) -> Iterator[WalkRecord]:
-        """The lanes' records in lane order.  Lanes still live when the
-        lockstep phase ends are finished by ``run_to_hit`` as their turn
-        comes, and each lane's window is dropped once its record is out."""
-        n, cap = self.n, self.step_cap
-        records, paused = self._lockstep()
-        for i, rec in enumerate(records):
-            env, self.envs[i] = self.envs[i], None
-            yield rec if rec is not None else run_to_hit(env, n, self.rngs[i], cap, paused.pop(i))
-
-    def _lockstep(self) -> tuple[list, dict[int, _WalkState]]:
-        """Step the lanes together until at most ``_FINISH_LANES`` are live,
-        the head-room has outgrown ``_BATCH_BYTES`` or the cap is reached.
-        Returns the records of the lanes that ended, ``None`` for the rest,
-        and each live lane's paused state; the batch buffers are released."""
-        n, cap, chunk = self.n, self.step_cap, _WALK_CHUNK
-        records = [None] * len(self.envs)
-        lane = np.arange(len(self.envs))  # live lanes
-        idx = lane * self.omega.shape[1] + self.z  # flat position of each live lane
-        t = 0
-        while True:
-            # Chunk boundary: retire lanes in the sink, censor at the cap, hand
-            # a handful of live lanes, or all once the head-room has outgrown
-            # the budget, to the scalar loop.
-            width, z = self.omega.shape[1], self.z
-            pos = idx - lane * width - z
-            done = pos >= n
-            for k in np.flatnonzero(done):
-                i = lane[k]
-                hit = t - 2 * int(self.U[i, z + n + 1]) - int(pos[k] - n)
-                records[i] = self._record(i, hit, False)
-            if t >= cap:  # censor every live lane
-                for k in np.flatnonzero(~done):
-                    records[lane[k]] = self._record(lane[k], t, True)
-                done[:] = True
-            lane, idx, pos = lane[~done], idx[~done], pos[~done]
-            # three lane buffers' worth, as _batch_width budgets
-            if lane.size <= _FINISH_LANES or 3 * self.omega.nbytes > _BATCH_BYTES:
-                paused = {int(i): _WalkState(int(pos[k]), t, self._deepest(i),
-                                             self.U[i, self.lo[i]:z + n + 1].copy())
-                          for k, i in enumerate(lane)}
-                self.omega = self.U = None
-                return records, paused
-            W = np.empty((lane.size, chunk))
-            for row, i in zip(W, lane):
-                self.rngs[i].random(out=row)
-            om, U = self.omega.ravel(), self.U.ravel()
-            lo = lane * width + self.lo[lane]  # flat index of each lane's lowest site
-            j, stop = 0, min(chunk, cap - t)
-            while j < stop:
-                # no lane leaves its window in fewer steps than this
-                for _ in range(min(stop - j, int((idx - lo).min()) + 1)):
-                    right = W[:, j] < om.take(idx)
-                    left = ~right
-                    U[idx[left]] += 1
-                    idx += right
-                    idx -= left
-                    j += 1
-                # extend before the next step or the cap test, as run_to_hit does
-                below = np.flatnonzero(idx < lo)
-                if below.size:
-                    self._extend(lane, idx, below)
-                    om, U = self.omega.ravel(), self.U.ravel()
-                    lo = lane * self.omega.shape[1] + self.lo[lane]
-            t += stop
+    table, chunk, omega = spec.chain, _EXTEND_CHUNK, np.append(spec.omega, 1.0)
+    origin, goal = chunk, chunk + n  # buffer rows of sites 0 and n
+    buf[origin] = np.searchsorted(table.cum_pi, rng.random(buf.shape[1]), side="right")
+    _fill(buf, range(origin - 1, -1, -1), table.cum_fwd, rng)
+    for r in range(origin + 1, goal, chunk):
+        _fill(buf, range(r, min(r + chunk, goal)), table.cum_rev, rng)
+    buf[goal:] = spec.n_states  # the sink, omega[-1]
+    out = np.zeros((4, buf.shape[1]), np.int64)  # steps, censored and both left-move totals
+    lane = np.arange(buf.shape[1])  # the live lanes
+    row = np.full(lane.size, origin)
+    moves, above = np.zeros((2, lane.size), np.int64)
+    t = 0
+    while True:
+        done = row >= goal if t < step_cap else np.ones(lane.size, bool)
+        if done.any():
+            out[:, lane[done]] = (t - np.maximum(row[done] - goal, 0), row[done] < goal,
+                                  moves[done], above[done])
+            keep = ~done
+            lane, row, moves, above, buf = lane[keep], row[keep], moves[keep], above[keep], \
+                buf[:, keep]
+        if lane.size <= _FINISH_LANES:
+            break
+        if row.min() == 0:
+            buf = np.concatenate([np.empty((chunk, lane.size), buf.dtype), buf])
+            _fill(buf, range(chunk - 1, -1, -1), table.cum_fwd, rng)
+            row += chunk
+            origin += chunk
+            goal += chunk
+        seg = min(int(row.min()), len(buf) - 1 - int(row.max()), step_cap - t)
+        m = lane.size
+        idx, flat, first = row * m + np.arange(m), buf.ravel(), (origin + 1) * m
+        # step buffers, as in _position_batch; side 1 is a left step, and a
+        # lane at flat index first or past it is at a site >= 1
+        st, om = np.empty(m, dtype=buf.dtype), np.empty(m)
+        left, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        step, move, side = np.empty_like(idx), np.array([m, -m]), left.view(np.uint8)
+        for u in rng.random((seg, m)):
+            flat.take(idx, out=st, mode="clip")
+            omega.take(st, out=om, mode="clip")
+            np.greater_equal(u, om, out=left)
+            np.greater_equal(idx, first, out=up)
+            up &= left
+            moves += side
+            above += up
+            move.take(side, out=step, mode="clip")
+            idx += step
+        del u  # the segment's uniform block, before the next boundary's copies
+        t += seg
+        row = idx // m
+    for k, i in enumerate(lane.tolist()):
+        states = buf[:goal, k].astype(np.int64)
+        env = EnvPath(origin, n - 1, spec.omega[states], states, spec, rng)
+        rec = run_to_hit(env, n, rng, step_cap,
+                         (int(row[k]) - origin, t, int(moves[k]), int(above[k])))
+        out[:, i] = rec.steps, rec.censored, rec.left_moves, rec.left_moves_above
+    return [WalkRecord(n, steps, bool(cens), total, high)
+            for steps, cens, total, high in out.T.tolist()]
 
 
 def _left_moves(rng, size, states, lanes, omega, log_q, max_odds: float, moves: int = 0):
@@ -481,8 +372,15 @@ def _left_moves(rng, size, states, lanes, omega, log_q, max_odds: float, moves: 
     return counts, u[int(total):]
 
 
+def _left_move_law(spec: EnvironmentSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_left_moves`' per-state tables ``omega`` and ``log1p(-omega)``
+    and its bound on the odds."""
+    return spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
+
+
 def forced_crossings(
-    spec: EnvironmentSpec, sites: int, replicas: int, rng: np.random.Generator
+    spec: EnvironmentSpec, sites: int, replicas: int, rng: np.random.Generator,
+    law: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-move counts of ``replicas`` walks that each cross ``sites``
     sites to the right, read downward from a stationary state.
@@ -492,8 +390,9 @@ def forced_crossings(
     moves one site down on the uniforms that draw returns.  Returns the last
     site's counts, each replica's total and the states below the last site:
     one generation per site of the branching process with immigration.
+    ``law`` is ``_left_move_law(spec)``, built here if not given.
     """
-    law = spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
+    law = law or _left_move_law(spec)
     lanes = np.arange(replicas)
     states = np.searchsorted(spec.chain.cum_pi, rng.random(replicas), side="right")
     spare = np.empty_like(states)  # the chain moves' output, swapped with states
@@ -530,8 +429,8 @@ def annealed_hitting_sample(
     if replicas < 0:
         raise ModelError("replicas must be nonnegative")
     rng = derive_rng(seed, 0)
-    counts, total, states = forced_crossings(spec, n, replicas, rng)
-    law = spec.omega, np.log1p(-spec.omega), float(spec.rho.max())
+    law = _left_move_law(spec)
+    counts, total, states = forced_crossings(spec, n, replicas, rng, law)
 
     # Sites below the origin: no forced crossing; lanes retire at zero count.
     active = np.flatnonzero(counts > 0)
@@ -565,7 +464,9 @@ def annealed_position_sample(
     Replicas run in as few equal batches as a width of
     ``max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes)`` lanes allows, a
     lane's bytes being its full-height window column and one fill's
-    uniforms; batch ``b`` draws from the stream ``derive_rng(seed, b)``.
+    uniforms, and no batch wider than ``_ADDRESS_BYTES // lane_bytes``
+    (one lane at least); batch ``b`` draws from the stream
+    ``derive_rng(seed, b)``.
     A batch's lanes step in lockstep, one uniform each per step.
     Their environments share one site-major buffer: row ``r`` holds every
     lane's chain state at one site, in the narrowest unsigned type that
@@ -590,7 +491,9 @@ def annealed_position_sample(
     state = np.min_scalar_type(spec.n_states - 1)  # a site's chain state, one byte up to 256
     height = 2 * (n_steps + _EXTEND_CHUNK) + 1  # every site a lane reaches, and a fill past it
     lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
-    batches = -(-replicas // max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes))
+    width = min(max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes),
+                max(1, _ADDRESS_BYTES // lane_bytes))
+    batches = -(-replicas // width)
     out = np.empty(replicas, dtype=np.int64)
     for b in range(batches):
         part = out[b * replicas // batches:(b + 1) * replicas // batches]
@@ -605,17 +508,11 @@ def _position_batch(spec, n_steps, buf, rng):
     ``rng``; see :func:`annealed_position_sample`."""
     table, chunk, lanes = spec.chain, _EXTEND_CHUNK, buf.shape[1]
 
-    def fill(rows, cum):
-        # one lockstep chain move per buffer row from the row before it,
-        # written in place, uniforms drawn at once
-        for r, u in zip(rows, rng.random((len(rows), lanes))):
-            chain_move(cum, buf[r - rows.step], u, out=buf[r])
-
     origin = len(buf) // 2
     lo, hi = origin - chunk, origin + chunk  # buffer rows of sites -left and right
     buf[origin] = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
-    fill(range(origin - 1, lo - 1, -1), table.cum_fwd)
-    fill(range(origin + 1, hi + 1), table.cum_rev)
+    _fill(buf, range(origin - 1, lo - 1, -1), table.cum_fwd, rng)
+    _fill(buf, range(origin + 1, hi + 1), table.cum_rev, rng)
     idx, flat = origin * lanes + np.arange(lanes), buf.ravel()
     # step buffers; take's default mode would copy through a temporary, and
     # every index here lies inside its table, so "clip" never clips
@@ -637,9 +534,9 @@ def _position_batch(spec, n_steps, buf, rng):
             return idx // lanes - origin
         del u  # the segment's uniform block, before the fills draw theirs
         if idx.min() // lanes == lo:
-            fill(range(lo - 1, lo - chunk - 1, -1), table.cum_fwd)
+            _fill(buf, range(lo - 1, lo - chunk - 1, -1), table.cum_fwd, rng)
             lo -= chunk
         if idx.max() // lanes == hi:
-            fill(range(hi + 1, hi + chunk + 1), table.cum_rev)
+            _fill(buf, range(hi + 1, hi + chunk + 1), table.cum_rev, rng)
             hi += chunk
         countdown = min(idx.min() // lanes - lo, hi - idx.max() // lanes)

@@ -258,7 +258,7 @@ def test_branching_vs_walk_single_site_trivial():
     import rwre.walksim as walksim
     env = walksim.sample_environment(spec, 8, 0, derive_rng(17, 0))
     rec = walksim.run_to_hit(env, 1, derive_rng(17, 1))
-    assert rec.left_moves[1 - rec.deepest_site] == 0
+    assert rec.left_moves_above == 0
     sums = branching.branch_population_sums(spec, 1, 50, derive_rng(18, 0))
     assert np.all(sums == 0)
 
@@ -266,7 +266,7 @@ def test_branching_vs_walk_single_site_trivial():
 def test_branching_vs_walk_mean_agreement():
     spec = chains.single_state(1 / 9)  # omega = 0.9
     import rwre.walksim as walksim
-    walk = np.array([rec.left_moves[1 - rec.deepest_site:].sum()
+    walk = np.array([rec.left_moves_above
                      for rec in walksim.reference_walks(spec, 100, 2000, seed=19)])
     branch = branching.branch_population_sums(spec, 100, 2000, derive_rng(19, 1))
     se = np.sqrt(walk.var(ddof=1) / 2000 + branch.var(ddof=1) / 2000)

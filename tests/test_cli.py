@@ -180,17 +180,26 @@ def test_simulate_walk_thread_count_invariance(tmp_path):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "1f56869cd953f5f12aea94b6a15f36fc57c5ab4598cf106f80de0354222c6530")
+        "a0d4ca359b6a2c6abf536c3e165d136dec25c95946936306f82aea9288bef824")
 
 
-def test_simulate_walk_lockstep_batches_golden(tmp_path):
-    # 700 replicas at n = 300 run as lockstep batches of 330, 330 and a
-    # scalar batch of 40; the seed spans three 32-bit words
-    assert walksim._batch_width(300) == 330 and 40 <= walksim._FINISH_LANES < 330
+def test_simulate_walk_lockstep_batches_golden(tmp_path, monkeypatch):
+    # a budget of 330 lanes runs 700 replicas at n = 300 as lockstep batches
+    # of 233, 233 and 234, each on its own stream; the seed spans three
+    # 32-bit words
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 330 * (300 + 2 * 64 + 8 * 64))
+    widths, batch = [], walksim._hitting_batch
+
+    def spy(spec, n, buf, step_cap, rng):
+        widths.append(buf.shape[1])
+        return batch(spec, n, buf, step_cap, rng)
+
+    monkeypatch.setattr(walksim, "_hitting_batch", spy)
     out = tmp_path / "walk.csv"
     assert run_cli("simulate-walk", "--config", K2, "--n", 300, "--replicas", 700,
                    "--seed", 2**64 + 5, "--out", out) == 0
-    assert _sha256(out) == "e222c715926f6e280a1da44ad4303cd806815f02e39a49d2cd3fe781fb4d4006"
+    assert widths == [233, 233, 234]
+    assert _sha256(out) == "0f6d9346d0e05e5e4d25ded679fc9304ccfd06f48bd4483be73dd48fec0803ea"
 
 
 @pytest.mark.parametrize("argv", [

@@ -168,6 +168,29 @@ def test_position_sample_on_one_state_is_a_binomial_walk():
     assert abs(x.mean() - n * (2 * w - 1)) < 4 * se
 
 
+def test_position_batches_narrow_past_the_address_cap(monkeypatch):
+    # at the default cap 512 full-height lanes still fit at n = 10**5; a cap
+    # of 100 lanes runs 300 replicas as three batches of 100, which draw what
+    # a floor of 100 lanes draws, and a cap below one lane runs lanes alone
+    assert 512 * _lane_bytes(10**5) <= walksim._ADDRESS_BYTES
+    spec, widths, batch = chains.chain_mk_k2(), [], walksim._position_batch
+
+    def spy(spec, n_steps, buf, rng):
+        widths.append(buf.shape[1])
+        return batch(spec, n_steps, buf, rng)
+
+    monkeypatch.setattr(walksim, "_position_batch", spy)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)
+    monkeypatch.setattr(walksim, "_ADDRESS_BYTES", 100 * _lane_bytes(500))
+    x = walksim.annealed_position_sample(spec, 500, 300, seed=6)
+    monkeypatch.setattr(walksim, "_ADDRESS_BYTES", 0)
+    walksim.annealed_position_sample(spec, 500, 3, seed=6)
+    assert widths == [100] * 3 + [1] * 3
+    monkeypatch.setattr(walksim, "_ADDRESS_BYTES", 1 << 40)
+    monkeypatch.setattr(walksim, "_POSITION_BATCH", 100)
+    assert np.array_equal(x, walksim.annealed_position_sample(spec, 500, 300, seed=6))
+
+
 def test_position_window_costs_one_byte_per_site_and_lane():
     # 512 lanes walk about 2,400 sites right in 3000 steps on a full-height
     # window of one-byte states: that buffer, one block of 64 uniforms a lane
@@ -402,8 +425,8 @@ def test_run_to_hit_degenerate_always_right():
     env = walksim.EnvPath(left=0, right=10, omega=np.ones(11), states=np.zeros(11, dtype=np.int64),
                           spec=chains.single_state(1.0), rng=derive_rng(1, 1))
     rec = walksim.run_to_hit(env, 10, derive_rng(1, 0))
-    assert (rec.steps, rec.deepest_site, rec.censored) == (10, 0, False)
-    assert rec.left_moves.tolist() == [0] * 11
+    assert rec == walksim.WalkRecord(n_target=10, steps=10, censored=False, left_moves=0,
+                                     left_moves_above=0)
 
 
 @pytest.mark.parametrize("make,n", [(chains.chain_mk_k1, 30),
@@ -413,8 +436,7 @@ def test_bookkeeping_identity_exact_on_every_record(make, n):
     for rec in walksim.reference_walks(make(), n, 120, seed=33):
         assert rec.identity_holds
         assert (rec.steps - n) % 2 == 0
-        assert rec.left_moves.shape == (n - rec.deepest_site + 1,)
-        assert rec.left_moves[-1] == 0  # the walk stops on reaching n
+        assert 0 <= rec.left_moves_above <= rec.left_moves
 
 
 def test_budget_exhaustion_reports_partial_record():
@@ -484,85 +506,121 @@ def test_position_sampler_deterministic_and_bounded():
     assert np.all((a + 500) % 2 == 0)  # parity of a +/-1 step walk
 
 
-def _alone(spec, n, replicas, seed, step_cap=walksim.DEFAULT_STEP_CAP):
-    """Replica i's walk run on its own: the definition reference_walks keeps."""
+def _walks_alone(spec, n, replicas, seed, step_cap=walksim.DEFAULT_STEP_CAP):
+    """The reference walk one replica at a time: a window over [-64, n - 1]
+    from ``derive_rng(seed, i, 0)``, then ``run_to_hit`` on
+    ``derive_rng(seed, i, 1)``."""
     return [walksim.run_to_hit(walksim.sample_environment(spec, 64, n - 1, derive_rng(seed, i, 0)),
                                n, derive_rng(seed, i, 1), step_cap)
             for i in range(replicas)]
 
 
-def _assert_same_records(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for field in ("n_target", "deepest_site", "steps", "censored"):
-            assert getattr(a, field) == getattr(b, field), field
-        x, y = a.left_moves, b.left_moves
-        assert x.dtype == y.dtype and np.array_equal(x, y), "left_moves"
+def _assert_same_law(got, want):
+    # two-sample KS of the steps (a censored walk's read the cap) and of the
+    # left moves from sites >= 1, which the branching check compares
+    for field in ("steps", "left_moves_above"):
+        x, y = ([getattr(r, field) for r in recs] for recs in (got, want))
+        assert stats.ks_2samp(x, y).pvalue > 0.01, field
 
 
-@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
-@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
-    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -12, 0),
-    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -65, 0),  # one left extension
-    ("chain_mk_k1", 120, 70, 400, -24, 70),  # every walk censored
-    ("deep", 5, 40, 3000, -493, 29),  # extensions and censoring hundreds of sites down
+# n = 5 puts the origin's state and its left moves, which a walk to site 5
+# makes many of, in the bulk of both laws
+@pytest.mark.parametrize("name, n, step_cap", [
+    ("chain_mk_k2", 5, walksim.DEFAULT_STEP_CAP),
+    ("chain_mk_k2", 60, walksim.DEFAULT_STEP_CAP),
+    ("chain_mk_k1", 5, 20_000),  # tail index 1: the hitting time has no mean
+    ("chain_mk_k1", 30, 20_000),
+    ("three_state", 5, walksim.DEFAULT_STEP_CAP),
+    ("three_state", 40, walksim.DEFAULT_STEP_CAP),
 ])
-def test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
-                                           deepest, censored, seed=33):
-    # floor 0 is pure lockstep, 10**6 pure scalar; the default mixes both
-    monkeypatch.setattr(walksim, "_FINISH_LANES", floor)
-    spec = DEEP if name == "deep" else getattr(chains, name)()
-    got = list(walksim.reference_walks(spec, n, replicas, seed=seed, step_cap=step_cap))
-    _assert_same_records(got, _alone(spec, n, replicas, seed=seed, step_cap=step_cap))
-    assert min(r.deepest_site for r in got) == deepest
-    assert sum(r.censored for r in got) == censored
-    assert all(r.steps == step_cap for r in got if r.censored)
+def test_reference_walks_match_walks_alone_in_law(name, n, step_cap):
+    spec = getattr(chains, name)()
+    got = list(walksim.reference_walks(spec, n, 2000, seed=33, step_cap=step_cap))
+    assert all(r.identity_holds for r in got if not r.censored)
+    _assert_same_law(got, _walks_alone(spec, n, 2000, seed=34, step_cap=step_cap))
 
 
-@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
-@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
-    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -11, 0),
-    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -115, 0),
-    ("chain_mk_k1", 120, 70, 400, -37, 70),
-    ("deep", 5, 40, 3000, -586, 28),
-])
-def test_reference_walks_match_walks_alone_seed_past_2_64(monkeypatch, floor, name, n, replicas,
-                                                          step_cap, deepest, censored):
-    # a seed of three 32-bit words
-    test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
-                                           deepest, censored, seed=2**64 + 33)
+def _transition_pvalue(rows, P):
+    """Chi-square p-value of the moves from each row of ``rows`` to the next
+    against the kernel ``P`` (cells of zero probability left out)."""
+    k = P.shape[0]
+    seen = np.bincount((rows[:-1] * k + rows[1:]).ravel(), minlength=k * k).reshape(k, k)
+    expected = seen.sum(axis=1, keepdims=True) * P
+    cells = expected > 0
+    chi2 = (((seen - expected)[cells]) ** 2 / expected[cells]).sum()
+    return stats.chi2.sf(chi2, cells.sum() - k)
+
+
+def test_reference_window_follows_the_chain(monkeypatch):
+    # the window a batch starts from: the origin row stationary, the rows up
+    # to site n - 1 moved by the reversed kernel, the 64 below by the forward
+    # one, the sink above; three_state's reversed kernel is far from H
+    spec, bufs, batch = chains.three_state(), [], walksim._hitting_batch
+
+    def spy(spec, n, buf, step_cap, rng):
+        bufs.append(buf)  # filled in place; the walk itself runs on copies
+        return batch(spec, n, buf, step_cap, rng)
+
+    monkeypatch.setattr(walksim, "_hitting_batch", spy)
+    list(walksim.reference_walks(spec, 40, 2000, seed=5))
+    (buf,) = bufs
+    origin, goal = 64, 64 + 40
+    assert buf.dtype == np.uint8 and np.all(buf[goal:] == spec.n_states)
+    pi = spec.chain.pi
+    assert stats.chisquare(np.bincount(buf[origin], minlength=3), 2000 * pi).pvalue > 1e-3
+    assert _transition_pvalue(buf[origin:goal], spec.chain.rev) > 1e-3
+    assert _transition_pvalue(buf[origin::-1], spec.H) > 1e-3
+
+
+def test_reference_walks_across_batches_growth_and_hand_off(monkeypatch):
+    # windows grown 8 sites at a time and a budget of 100 lanes: 400 walks
+    # on nonarith_sub1 run as four batches, each of which grows its window
+    # downward in lockstep, censors some walks at the cap and hands its last
+    # live lanes to run_to_hit mid-walk
+    spec, n, replicas, cap = chains.nonarith_sub1(), 25, 400, 5000
+    monkeypatch.setattr(walksim, "_EXTEND_CHUNK", 8)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 100 * (n + 2 * 8 + 8 * 8))
+    widths, down_fills, resumed = [], [], []
+    batch, fill, scalar = walksim._hitting_batch, walksim._fill, walksim.run_to_hit
+
+    def batch_spy(spec, n, buf, step_cap, rng):
+        widths.append(buf.shape[1])
+        return batch(spec, n, buf, step_cap, rng)
+
+    def fill_spy(buf, rows, cum, rng):
+        down_fills.append(rows.step < 0)
+        fill(buf, rows, cum, rng)
+
+    def scalar_spy(env, n, rng, step_cap, resume):
+        resumed.append(resume[1])
+        return scalar(env, n, rng, step_cap, resume)
+
+    for name, spy in [("_hitting_batch", batch_spy), ("_fill", fill_spy),
+                      ("run_to_hit", scalar_spy)]:
+        monkeypatch.setattr(walksim, name, spy)
+    got = list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=cap))
+    assert widths == [100] * 4
+    assert sum(down_fills) > 4  # one at each batch's start, the rest growths
+    assert 0 < len(resumed) <= 4 * walksim._FINISH_LANES and min(resumed) > 0
+    assert got == list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=cap))
+    assert any(r.censored for r in got) and all(r.steps == cap for r in got if r.censored)
+    assert all(r.identity_holds for r in got if not r.censored)
+    monkeypatch.undo()
+    _assert_same_law(got, _walks_alone(spec, n, replicas, seed=34, step_cap=cap))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
 def test_lockstep_hitting_time_read_off_the_sink(monkeypatch, chunk):
-    # Small chunks put hits on chunk boundaries; with chunks of 256 lanes
-    # bounce in the sink many times before their boundary.  A cap at one
-    # walk's hitting time lets it finish on the cap's step; one less censors it.
-    spec, n, replicas = chains.chain_mk_k2(), 60, 80
-    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
-    monkeypatch.setattr(walksim, "_WALK_CHUNK", chunk)
-    alone = _alone(spec, n, replicas, seed=33)
-    got = list(walksim.reference_walks(spec, n, replicas, seed=33))
-    _assert_same_records(got, alone)
-    k = int(np.argsort([r.steps for r in alone])[replicas // 2])
-    hit = alone[k].steps
-    for cap in (hit, hit - 1):
-        got = list(walksim.reference_walks(spec, n, replicas, seed=33, step_cap=cap))
-        _assert_same_records(got, _alone(spec, n, replicas, seed=33, step_cap=cap))
-        assert got[k].censored == (cap < hit)
-        assert 0 < sum(r.censored for r in got) < replicas
-
-
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_reference_walks_batching_does_not_move_draws(monkeypatch, offset):
-    n = 40
-    monkeypatch.setattr(walksim, "_BATCH_BYTES", 30 * (64 * (n + 64) + 8 * walksim._WALK_CHUNK))
-    monkeypatch.setattr(walksim, "_FINISH_LANES", 4)
-    width = walksim._batch_width(n)
-    assert width == 30
-    for replicas in (1, width + offset, 3 * width + offset):
-        got = list(walksim.reference_walks(chains.chain_mk_k2(), n, replicas, seed=8))
-        _assert_same_records(got, _alone(chains.chain_mk_k2(), n, replicas, seed=8))
+    # omega within 1e-15 of 1: 100 lockstep walks go straight right and hit
+    # n = 70 on step 70.  The window grows by chunk rows and its sink is chunk
+    # rows high, so segments run 1 to 256 steps and the hit is read off the
+    # sink at heights up to 186; a cap at 70 lets every walk finish on the
+    # cap's step, one less censors all
+    monkeypatch.setattr(walksim, "_EXTEND_CHUNK", chunk)
+    spec = chains.single_state(1e-15, epsilon=1e-16)
+    for step_cap in (walksim.DEFAULT_STEP_CAP, 70, 69):
+        got = list(walksim.reference_walks(spec, 70, 100, seed=2, step_cap=step_cap))
+        assert got == [walksim.WalkRecord(70, min(step_cap, 70), step_cap < 70, 0, 0)] * 100
 
 
 @pytest.mark.parametrize("n,replicas,message", [
@@ -577,43 +635,10 @@ def test_reference_walks_rejects_bad_counts(n, replicas, message):
         walksim.annealed_hitting_sample(chains.chain_mk_k2(), n, replicas, seed=1)
 
 
-def test_lockstep_hands_lanes_to_scalar_loop_past_memory_budget(monkeypatch):
-    # floor 0: only the budget ends the lockstep phase before the cap; DEEP
-    # walks drift left, so their head-room outgrows a 20-lane budget
-    n, replicas, cap = 5, 40, 3000
-    monkeypatch.setattr(walksim, "_FINISH_LANES", 0)
-    monkeypatch.setattr(walksim, "_BATCH_BYTES", 20 * (64 * (n + 64) + 8 * walksim._WALK_CHUNK))
-    paused_at = []
-    scalar = walksim.run_to_hit
-
-    def spy(env, n, rng, step_cap, resume):
-        paused_at.append(resume.t)
-        return scalar(env, n, rng, step_cap, resume)
-
-    monkeypatch.setattr(walksim, "run_to_hit", spy)
-    got = list(walksim.reference_walks(DEEP, n, replicas, seed=33, step_cap=cap))
-    monkeypatch.setattr(walksim, "run_to_hit", scalar)
-    _assert_same_records(got, _alone(DEEP, n, replicas, seed=33, step_cap=cap))
-    assert paused_at and max(paused_at) < cap
-
-
-def test_batched_windows_match_sample_environment():
-    spec = S4
-    envs = walksim._sample_windows(spec, 16, 99, [derive_rng(3, i, 0) for i in range(8)])
-    for i, env in enumerate(envs):
-        rng = derive_rng(3, i, 0)
-        alone = walksim.sample_environment(spec, 16, 99, rng)
-        assert (env.left, env.right) == (16, 99)
-        assert np.array_equal(env.states, alone.states)
-        assert np.array_equal(env.omega, alone.omega)
-        assert env.rng.random() == rng.random()
-
-
 def test_censoring_just_below_window_keeps_left_moves():
     # the first step leaves the one-site window; the cap stops the walk there
     spec = chains.single_state(9.0)
     env = walksim.sample_environment(spec, 0, 9, derive_rng(4, 0))
     rec = walksim.run_to_hit(env, 10, derive_rng(4, 1), step_cap=1)
-    assert rec.censored and rec.deepest_site == -1
-    assert rec.left_moves.tolist() == [0, 1] + [0] * 10
+    assert rec.censored and (rec.steps, rec.left_moves, rec.left_moves_above) == (1, 1, 0)
     assert env.left == 64
