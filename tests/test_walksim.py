@@ -515,12 +515,56 @@ def _walks_alone(spec, n, replicas, seed, step_cap=walksim.DEFAULT_STEP_CAP):
             for i in range(replicas)]
 
 
-def _assert_same_law(got, want):
+def _assert_same_law(got, want, alpha=0.01):
     # two-sample KS of the steps (a censored walk's read the cap) and of the
     # left moves from sites >= 1, which the branching check compares
     for field in ("steps", "left_moves_above"):
         x, y = ([getattr(r, field) for r in recs] for recs in (got, want))
-        assert stats.ks_2samp(x, y).pvalue > 0.01, field
+        assert stats.ks_2samp(x, y).pvalue > alpha, field
+
+
+@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
+@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
+    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -12, 0),
+    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -65, 0),  # one left extension
+    ("chain_mk_k1", 120, 70, 400, -24, 70),  # every walk censored
+    ("deep", 5, 40, 3000, -493, 29),  # extensions and censoring hundreds of sites down
+])
+def test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
+                                           deepest, censored, seed=33):
+    # floor 0 is pure lockstep, 10**6 the scalar finisher from the first
+    # step; the default mixes both.  The walks alone at this seed reach site
+    # `deepest` (their windows cover it to within one growth) and `censored`
+    # of them stop at the cap; the lockstep walks follow the law of an
+    # independent sample of them (36 comparisons, hence the small alpha)
+    spec = DEEP if name == "deep" else getattr(chains, name)()
+    envs = [walksim.sample_environment(spec, 64, n - 1, derive_rng(seed, i, 0))
+            for i in range(replicas)]
+    alone = [walksim.run_to_hit(env, n, derive_rng(seed, i, 1), step_cap)
+             for i, env in enumerate(envs)]
+    assert -deepest <= max(env.left for env in envs) < -deepest + walksim._EXTEND_CHUNK
+    assert sum(r.censored for r in alone) == censored
+    monkeypatch.setattr(walksim, "_FINISH_LANES", floor)
+    got = list(walksim.reference_walks(spec, n, replicas, seed=seed, step_cap=step_cap))
+    assert got == list(walksim.reference_walks(spec, n, replicas, seed=seed, step_cap=step_cap))
+    assert all(r.steps == step_cap for r in got if r.censored)
+    assert all(r.identity_holds for r in got if not r.censored)
+    _assert_same_law(got, _walks_alone(spec, n, replicas, seed=seed + 1, step_cap=step_cap),
+                     alpha=1e-3)
+
+
+@pytest.mark.parametrize("floor", [0, walksim._FINISH_LANES, 10**6])
+@pytest.mark.parametrize("name,n,replicas,step_cap,deepest,censored", [
+    ("chain_mk_k2", 60, 80, walksim.DEFAULT_STEP_CAP, -11, 0),
+    ("nonarith_sub1", 25, 60, walksim.DEFAULT_STEP_CAP, -115, 0),
+    ("chain_mk_k1", 120, 70, 400, -37, 70),
+    ("deep", 5, 40, 3000, -586, 28),
+])
+def test_reference_walks_match_walks_alone_seed_past_2_64(monkeypatch, floor, name, n, replicas,
+                                                          step_cap, deepest, censored):
+    # a seed of three 32-bit words
+    test_reference_walks_match_walks_alone(monkeypatch, floor, name, n, replicas, step_cap,
+                                           deepest, censored, seed=2**64 + 33)
 
 
 # n = 5 puts the origin's state and its left moves, which a walk to site 5
