@@ -9,12 +9,10 @@ and odds products drive the limit laws.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ._rng import derive_rng
 from .envmodel import EnvironmentSpec, chain_walk
@@ -42,9 +40,7 @@ GEOMETRIC_CUTOFF = 10_000
 KS_SIGNIFICANCE = 0.01  # a branching-vs-walk p-value below this rejects the identity
 POPULATION_LIMIT = 2**63 - 1
 _PATH_CHUNK = 1 << 16  # uniforms per draw of sample_chain_path
-# uniforms sample_branching turns into floats at a time where its scalar loop
-# reads them; a whole buffer costs 22 ns a uniform even where numpy reads it
-_LIST_CHUNK = 64
+_STACK = 1 << 15  # broods per refill of sample_branching's stacks, split among the states
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,19 @@ def sample_chain_path(
     return out
 
 
+def _brood_sums(rng: np.random.Generator, size: int, log_q: float) -> list[int]:
+    """Prefix sums, from 0, of ``size`` geometric broods
+    ``floor(log1p(-U) / log_q)``, one uniform each, as Python ints.
+
+    ``log_q`` is ``log1p(-omega)`` of the state.  A stack whose float total
+    reaches 2**62 is summed in Python ints, so no prefix sum wraps.
+    """
+    broods = np.log1p(-rng.random(size)) / log_q
+    if broods.sum() < 2.0**62:
+        return [0, *np.cumsum(broods.astype(np.int64)).tolist()]
+    return list(accumulate(map(int, broods.tolist()), initial=0))
+
+
 def sample_branching(
     spec: EnvironmentSpec,
     horizon: int,
@@ -88,59 +97,47 @@ def sample_branching(
 ) -> BranchPath:
     """Simulate the immigration branching process over ``horizon`` generations.
 
-    The chain starts from its stationary law.  Population counts above
-    2**63 - 1 abort the replica: that regime means the model diagnostics
-    were misconfigured (supercritical environment).
+    The chain does not depend on the populations, so its path, from the
+    stationary law, is drawn first (:func:`sample_chain_path`).  Generation
+    ``t`` then sums ``c = Z[t] + 1`` geometric broods of its state ``s``.
+    Each state keeps a stack of i.i.d. broods as prefix sums ``P``
+    (:func:`_brood_sums`) and a count ``i`` of those used, so the sum is
+    ``P[i + c] - P[i]``.  A stack too short for ``c`` is dropped, unused
+    tail and all, for a fresh one of ``max(_STACK // K, c)`` broods.  The
+    broods a generation uses are fresh and chosen by the past alone, so each
+    count is NB(c, omega[s]) given the past.  Above ``GEOMETRIC_CUTOFF``
+    broods, numpy's ``negative_binomial`` draws the count instead.  Counts
+    above 2**63 - 1 (or sizes above 2**53) abort the replica: that regime
+    means the model diagnostics were misconfigured (supercritical
+    environment).
     """
     if horizon < 1:
         raise ModelError("horizon must be >= 1")
 
-    # Hot loop: buffered uniforms and plain-python state, which beats numpy
-    # scalar calls by an order of magnitude at typical population sizes.
-    # ``ul`` holds ``buf[u0:u0 + len(ul)]`` as Python floats.
-    cum_rows = spec.chain.fwd_rows
-    om_list = [float(v) for v in spec.omega]
-    inv_log = [1.0 / math.log1p(-v) for v in om_list]
-
-    buf, ul, u0, bi = rng.random(1 << 16), [], 0, 0
-    blen = len(buf)
-    s = int(np.searchsorted(spec.chain.cum_pi, rng.random(), side="right"))
-    states, Z = [s], [0]
+    states = sample_chain_path(spec, horizon + 1, rng)
+    omega = spec.omega.tolist()
+    log_q = np.log1p(-spec.omega).tolist()
+    width = max(_STACK // len(omega), 1)
+    stacks, used = [[0]] * len(omega), [0] * len(omega)
+    Z = [0]
     z = 0
-    log = math.log
-    for t in range(horizon):
+    for t, s in enumerate(states[:-1].tolist(), 1):
         count = z + 1
         if count > GEOMETRIC_CUTOFF:
             if count > 2**53:
-                raise NumericalError(f"population explosion at generation {t + 1}")
-            # a negative-binomial draw is the same law as the sum of geometric broods
-            z = int(rng.negative_binomial(count, om_list[s]))
+                raise NumericalError(f"population explosion at generation {t}")
+            z = int(rng.negative_binomial(count, omega[s]))
         else:
-            if bi + count + 1 > blen:
-                buf, ul, u0, bi = rng.random(max(1 << 16, count + 1)), [], 0, 0
-                blen = len(buf)
-            inv = inv_log[s]
-            if count > 16:
-                z = int(np.floor(np.log(buf[bi:bi + count]) * inv).sum())
-            else:
-                if bi + count - u0 > len(ul):
-                    ul, u0 = buf[bi:bi + _LIST_CHUNK].tolist(), bi
-                z = 0
-                for u in ul[bi - u0:bi - u0 + count]:
-                    z += int(log(u) * inv)
-            bi += count
+            P, i = stacks[s], used[s]
+            if i + count >= len(P):
+                P = stacks[s] = _brood_sums(rng, max(width, count), log_q[s])
+                i = 0
+            z = P[i + count] - P[i]
+            used[s] = i + count
         if z > POPULATION_LIMIT:
-            raise NumericalError(f"population explosion at generation {t + 1}")
+            raise NumericalError(f"population explosion at generation {t}")
         Z.append(z)
-        if bi == blen:
-            buf, ul, u0, bi = rng.random(1 << 16), [], 0, 0
-        if bi - u0 >= len(ul):
-            ul, u0 = buf[bi:bi + _LIST_CHUNK].tolist(), bi
-        s = bisect_right(cum_rows[s], ul[bi - u0])
-        bi += 1
-        states.append(s)
-    return BranchPath(populations=np.array(Z, dtype=np.int64),
-                      states=np.array(states, dtype=np.int64))
+    return BranchPath(populations=np.array(Z, dtype=np.int64), states=states)
 
 
 def extinction_times(populations: np.ndarray) -> np.ndarray:
@@ -287,6 +284,8 @@ def branching_vs_walk_check(
     if len(walk_sums) < replicas // 2:
         raise NumericalError("too many censored walk replicas for the comparison")
     branch_sums = branch_population_sums(spec, n, replicas, derive_rng(seed, 1))
+    from scipy import stats  # here only: importing it costs the CLI half its start-up
+
     res = stats.ks_2samp(walk_sums, branch_sums)
     return KSVerdict(
         statistic=float(res.statistic),

@@ -12,36 +12,76 @@ from rwre._rng import derive_rng
 from rwre.errors import ModelError, NumericalError
 
 
+def _assert_standard(x, name):
+    # mean 0 and variance 1 at 4 standard errors; the sample variance is a
+    # mean of the n terms x**2, whose own variance is E x**4 - 1
+    n = x.size
+    assert n > 1000, name
+    assert abs(x.mean()) < 4 * x.std(ddof=1) / np.sqrt(n), name
+    assert abs(np.mean(x**2) - 1.0) < 4 * np.sqrt((np.mean(x**4) - 1.0) / n), name
+
+
+def _offspring_residuals(spec, paths):
+    # Given the count c = Z[t] + 1 and the state s, Z[t+1] is NB(c, omega_s):
+    # mean c*m_s and variance c*m_s/omega_s with m_s = (1 - omega_s)/omega_s
+    om = spec.omega[np.concatenate([p.states[:-1] for p in paths])]
+    c = np.concatenate([p.populations[:-1] + 1 for p in paths]).astype(float)
+    nxt = np.concatenate([p.populations[1:] for p in paths])
+    m = (1 - om) / om
+    return c, om, (nxt - c * m) / np.sqrt(c * m / om)
+
+
 def test_offspring_law_in_every_draw_branch():
     # Supercritical single state, omega = 0.4 (m = 1.5): 40 generations carry
-    # the count c = Z[t] + 1 through all three draws of the hot loop (scalar
-    # sum for c <= 16, numpy sum up to GEOMETRIC_CUTOFF, negative binomial
-    # above).  Given c, Z[t+1] sums c geometric broods, with mean c*m and
-    # variance c*m/omega, so each standardised residual has mean 0, variance 1.
-    om = 0.4
-    m = (1 - om) / om
+    # the count c = Z[t] + 1 through both draws, the brood stacks up to
+    # GEOMETRIC_CUTOFF and the negative binomial above it.
     spec = envmodel.EnvironmentSpec(states=("hot",), H=np.array([[1.0]]),
-                                    omega=np.array([om]), epsilon=0.1)
-    c, nxt = [], []
-    for seed in range(300):
-        Z = branching.sample_branching(spec, 40, derive_rng(seed, 0)).populations
-        c.append(Z[:-1] + 1)
-        nxt.append(Z[1:])
-    c = np.concatenate(c).astype(float)
-    r = (np.concatenate(nxt) - c * m) / np.sqrt(c * m / om)
-    branches = {
-        "scalar": c <= 16,
-        "numpy": (c > 16) & (c <= branching.GEOMETRIC_CUTOFF),
-        "negative binomial": c > branching.GEOMETRIC_CUTOFF,
-    }
-    for name, sel in branches.items():
-        x = r[sel]
-        n = x.size
-        assert n > 1000, name
-        assert abs(x.mean()) < 4 * x.std(ddof=1) / np.sqrt(n), name
-        # the sample variance is a mean of the n terms x**2, whose own
-        # variance is E x**4 - 1: bound it at 4 of its standard errors
-        assert abs(np.mean(x**2) - 1.0) < 4 * np.sqrt((np.mean(x**4) - 1.0) / n), name
+                                    omega=np.array([0.4]), epsilon=0.1)
+    paths = [branching.sample_branching(spec, 40, derive_rng(seed, 0)) for seed in range(300)]
+    c, _, r = _offspring_residuals(spec, paths)
+    _assert_standard(r[c <= branching.GEOMETRIC_CUTOFF], "stack")
+    _assert_standard(r[c > branching.GEOMETRIC_CUTOFF], "negative binomial")
+
+
+def test_offspring_law_per_state_across_stack_refills(monkeypatch):
+    # Ten-brood stacks, five a state: most generations drop their state's
+    # stack and draw a new one.  Each state's counts must stay NB(c, omega_s).
+    spec = envmodel.EnvironmentSpec(states=("a", "b"), H=np.array([[0.5, 0.5], [0.3, 0.7]]),
+                                    omega=np.array([0.45, 0.7]), epsilon=0.05)
+    monkeypatch.setattr(branching, "_STACK", 10)
+    refills = []
+    draw = branching._brood_sums
+    monkeypatch.setattr(branching, "_brood_sums",
+                        lambda *a: refills.append(a[1]) or draw(*a))
+    path = branching.sample_branching(spec, 60_000, derive_rng(22, 0))
+    assert len(refills) > 30_000 and min(refills) == 5
+    _, om, r = _offspring_residuals(spec, [path])
+    for s, w in enumerate(spec.omega):
+        _assert_standard(r[om == w], spec.states[s])
+
+
+class _ZeroUniforms:
+    """A generator whose every uniform is 0.0, a value numpy can draw."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_zero_uniform_draws_empty_broods():
+    path = branching.sample_branching(chains.chain_mk_k2(), 50, _ZeroUniforms())
+    assert path.populations.tolist() == [0] * 51
+    assert path.states.tolist() == [0] * 51
+
+
+@pytest.mark.parametrize("omega, size", [(0.5, 1000), (1e-15, 1 << 14)])
+def test_brood_sums_are_exact_prefix_sums(omega, size):
+    # at omega = 1e-15 a brood is about 1e15, so the stack's total passes 2**63
+    log_q = np.log1p(-omega)
+    sums = branching._brood_sums(derive_rng(23, 0), size, log_q)
+    broods = np.floor(np.log1p(-derive_rng(23, 0).random(size)) / log_q)
+    assert sums[0] == 0 and len(sums) == size + 1
+    assert [b - a for a, b in zip(sums, sums[1:])] == [int(b) for b in broods]
+    assert (sums[-1] > 2**63) == (omega < 0.5)
 
 
 def test_quiet_environment_stays_small():
@@ -206,12 +246,15 @@ def test_one_dependence_and_stationarity_proxies():
 
 
 def test_joint_gap_lln_stabilizes():
+    # The half-sample mean sits off the full mean by cv / sqrt(n) in relative
+    # standard error, with cv about 1.17 for these gaps: 220,000 gaps put the
+    # 1% bar at 4 standard errors (at 10,000 it sat at 0.85).
     spec = chains.chain_mk_k2()
     rng = derive_rng(12, 0)
-    path = branching.sample_branching(spec, 80_000, rng)
+    path = branching.sample_branching(spec, 1_300_000, rng)
     tr = branching.regen_trace(path, rng)
-    gaps = np.diff(tr.joint)[:10_000]
-    assert gaps.size == 10_000
+    gaps = np.diff(tr.joint)[:220_000]
+    assert gaps.size == 220_000
     half_mean = gaps[: gaps.size // 2].mean()
     full_mean = gaps.mean()
     assert abs(half_mean - full_mean) / full_mean < 0.01

@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,18 @@ def run_cli(*argv):
 def _sha256(path) -> str:
     """Golden CSV digests: the draw order and the formatting are pinned."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half of the CLI's import time and memory, and
+    # only the branching-versus-walk check reads it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rwre.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_validate_ok(capsys):
@@ -230,7 +245,7 @@ def test_simulate_branching_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "block,gap,population,odds_product,prefix_load"
     assert len(lines) > 100
-    assert _sha256(out) == "3b9ddbab4f89c020cef82b8e2e0ef4f5e9a769b6711fceb18928e74222fd22db"
+    assert _sha256(out) == "a9198e4b910e88f61bb0609d37fbc25c4714041ea3a27e89e33f224ac497d95d"
 
 
 def test_tails_report_and_dump(tmp_path, capsys):
