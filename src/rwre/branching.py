@@ -9,8 +9,8 @@ and odds products drive the limit laws.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,13 +103,13 @@ def sample_branching(
     Each state keeps a stack of i.i.d. broods as prefix sums ``P``
     (:func:`_brood_sums`) and a count ``i`` of those used, so the sum is
     ``P[i + c] - P[i]``.  A stack too short for ``c`` is dropped, unused
-    tail and all, for a fresh one of ``max(_STACK // K, c)`` broods.  The
-    broods a generation uses are fresh and chosen by the past alone, so each
-    count is NB(c, omega[s]) given the past.  Above ``GEOMETRIC_CUTOFF``
-    broods, numpy's ``negative_binomial`` draws the count instead.  Counts
-    above 2**63 - 1 (or sizes above 2**53) abort the replica: that regime
-    means the model diagnostics were misconfigured (supercritical
-    environment).
+    tail and all, for a fresh one of ``max(_STACK // K, c)`` broods, ``K``
+    being the number of states.  The broods a generation uses are fresh and
+    chosen by the past alone, so each count is NB(c, omega[s]) given the
+    past.  Above ``GEOMETRIC_CUTOFF`` broods, numpy's ``negative_binomial``
+    draws the count instead.  Counts above 2**63 - 1 (or sizes above 2**53)
+    abort the replica: that regime means the model diagnostics were
+    misconfigured (supercritical environment).
     """
     if horizon < 1:
         raise ModelError("horizon must be >= 1")
@@ -284,7 +284,7 @@ def branching_vs_walk_check(
     if len(walk_sums) < replicas // 2:
         raise NumericalError("too many censored walk replicas for the comparison")
     branch_sums = branch_population_sums(spec, n, replicas, derive_rng(seed, 1))
-    from scipy import stats  # here only: importing it costs the CLI half its start-up
+    from scipy import stats  # not at module level: it is half of importing rwre.cli
 
     res = stats.ks_2samp(walk_sums, branch_sums)
     return KSVerdict(

@@ -56,8 +56,8 @@ def test_offspring_law_per_state_across_stack_refills(monkeypatch):
     path = branching.sample_branching(spec, 60_000, derive_rng(22, 0))
     assert len(refills) > 30_000 and min(refills) == 5
     _, om, r = _offspring_residuals(spec, [path])
-    for s, w in enumerate(spec.omega):
-        _assert_standard(r[om == w], spec.states[s])
+    for name, w in zip(spec.states, spec.omega):
+        _assert_standard(r[om == w], name)
 
 
 class _ZeroUniforms:
@@ -248,7 +248,7 @@ def test_one_dependence_and_stationarity_proxies():
 def test_joint_gap_lln_stabilizes():
     # The half-sample mean sits off the full mean by cv / sqrt(n) in relative
     # standard error, with cv about 1.17 for these gaps: 220,000 gaps put the
-    # 1% bar at 4 standard errors (at 10,000 it sat at 0.85).
+    # 1% bar at 4 standard errors.
     spec = chains.chain_mk_k2()
     rng = derive_rng(12, 0)
     path = branching.sample_branching(spec, 1_300_000, rng)
