@@ -18,7 +18,7 @@ from ._rng import derive_rng
 from .envmodel import EnvironmentSpec, chain_walk
 from .errors import ModelError, NumericalError
 from .spectral import REGEN_COIN, REGEN_STATE
-from .walksim import forced_crossings, reference_walks
+from .walksim import _EXPLOSION_LIMIT, forced_crossings, reference_walks
 
 __all__ = [
     "BranchPath",
@@ -107,15 +107,16 @@ def sample_branching(
     being the number of states.  The broods a generation uses are fresh and
     chosen by the past alone, so each count is NB(c, omega[s]) given the
     past.  Above ``GEOMETRIC_CUTOFF`` broods, numpy's ``negative_binomial``
-    draws the count instead.  Counts above 2**63 - 1 (or sizes above 2**53)
-    abort the replica: that regime means the model diagnostics were
-    misconfigured (supercritical environment).
+    draws the count instead.  Counts above 2**63 - 1, sizes above 2**53 or
+    a mean ``c * rho[s]`` above ``_EXPLOSION_LIMIT`` (which numpy refuses
+    near 2**63) abort the replica: that regime means the model diagnostics
+    were misconfigured (supercritical environment).
     """
     if horizon < 1:
         raise ModelError("horizon must be >= 1")
 
     states = sample_chain_path(spec, horizon + 1, rng)
-    omega = spec.omega.tolist()
+    omega, rho = spec.omega.tolist(), spec.rho.tolist()
     log_q = np.log1p(-spec.omega).tolist()
     width = max(_STACK // len(omega), 1)
     stacks, used = [[0]] * len(omega), [0] * len(omega)
@@ -124,7 +125,7 @@ def sample_branching(
     for t, s in enumerate(states[:-1].tolist(), 1):
         count = z + 1
         if count > GEOMETRIC_CUTOFF:
-            if count > 2**53:
+            if count > 2**53 or count * rho[s] > _EXPLOSION_LIMIT:
                 raise NumericalError(f"population explosion at generation {t}")
             z = int(rng.negative_binomial(count, omega[s]))
         else:
@@ -168,8 +169,10 @@ def chain_regenerations(
 
 
 def common_regenerations(nu: np.ndarray, regens: np.ndarray) -> np.ndarray:
-    """Joint regeneration times: positive times present in both lists."""
-    joint = np.intersect1d(np.asarray(nu)[1:], np.asarray(regens)[1:])
+    """Joint regeneration times: positive times present in both lists, which
+    must be strictly increasing, as :func:`extinction_times` and
+    :func:`chain_regenerations` return them (the join does not deduplicate)."""
+    joint = np.intersect1d(np.asarray(nu)[1:], np.asarray(regens)[1:], assume_unique=True)
     return np.concatenate([[0], joint]).astype(np.int64)
 
 

@@ -10,13 +10,13 @@ environment variable controls stderr verbosity only.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import logging
 import os
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,14 +57,25 @@ def _config_hash(path: str, params: dict) -> str:
     return h.hexdigest()[:16]
 
 
-def _write_csv(path, header, rows, conf_hash, seed):
+def _quoted(field: str) -> str:
+    """``field`` as ``csv.writer`` writes it: quoted if it holds a comma, quote or line break."""
+    quote = "," in field or '"' in field or "\r" in field or "\n" in field
+    return '"%s"' % field.replace('"', '""') if quote else field
+
+
+def _write_csv(path, header, fmt, columns, conf_hash, seed):
+    """Write ``header``, row ``i`` as ``fmt % (column[i] for column in columns)``
+    and the metadata comment, byte for byte what ``csv.writer`` writes for
+    the formatted fields: every row in one ``%`` pass, CRLF-terminated, and
+    a column of strings quoted by :func:`_quoted`."""
+    columns = [list(map(_quoted, c)) if len(c) and isinstance(c[0], str) else c
+               for c in columns]
+    m = len(columns[0])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write((fmt + "\r\n") * m % tuple(chain.from_iterable(zip(*columns))))
         fh.write(f"# config_hash={conf_hash} seed={seed}\n")
-    log.info("wrote %s (%d rows)", path, len(rows))
+    log.info("wrote %s (%d rows)", path, m)
 
 
 def _split(a):
@@ -115,7 +126,7 @@ def _write_rows(fh, values):
 
 
 def _write_samples(path, samples, conf_hash, seed):
-    """``_write_csv(path, ["value"], [(f"{v:.17g}",) ...])``, byte for byte."""
+    """``_write_csv(path, ["value"], "%.17g", [samples], ...)``, byte for byte."""
     with open(path, "wb") as fh:
         fh.write(b"value\r\n")  # csv.writer's line terminator
         for k in range(0, len(samples), _DUMP_CHUNK):
@@ -212,11 +223,8 @@ def _cmd_kappa(args) -> int:
     print(f"residual kernel radius at kappa: {rep.theta_kappa_radius:.12g} "
           f"(margin {rep.theta_margin:.3g})")
     if args.out:
-        rows = [
-            (f"{b:.10g}", f"{l:.15g}", f"{r:.15g}")
-            for b, l, r in zip(rep.beta_grid, rep.lambdas, rep.radii)
-        ]
-        _write_csv(args.out, ["beta", "lambda", "radius"], rows,
+        _write_csv(args.out, ["beta", "lambda", "radius"], "%.10g,%.15g,%.15g",
+                   [rep.beta_grid.tolist(), rep.lambdas.tolist(), rep.radii.tolist()],
                    _config_hash(args.config, {}), args.seed)
     return EXIT_OK
 
@@ -255,16 +263,15 @@ def _cmd_speed(args) -> int:
 def _cmd_simulate_walk(args) -> int:
     spec = envmodel.load_model(args.config)
     walks = walksim.reference_walks(spec, args.n, args.replicas, args.seed, args.step_cap)
-    # a walk stops on the step that hits n, so steps is also the hitting time
-    rows = [(idx, rec.steps, rec.steps, int(rec.censored)) for idx, rec in enumerate(walks)]
-    values = np.array([r[1] for r in rows], dtype=float)
-    censored = np.array([r[3] for r in rows], dtype=bool)
-    done = values[~censored]
+    steps, censored = np.array([(r.steps, r.censored) for r in walks], np.int64).reshape(-1, 2).T
+    done = steps[censored == 0].astype(float)
     print(f"replicas: {args.replicas}, censored: {int(censored.sum())}")
     if done.size:
         print(f"mean hitting time: {done.mean():.6g} (T/n = {done.mean() / args.n:.6g})")
     if args.out:
-        _write_csv(args.out, ["replica", "hitting_time", "steps", "censored"], rows,
+        # a walk stops on the step that hits n, so steps is also the hitting time
+        _write_csv(args.out, ["replica", "hitting_time", "steps", "censored"], "%d,%d,%d,%d",
+                   [range(args.replicas), steps.tolist(), steps.tolist(), censored.tolist()],
                    _config_hash(args.config, {"n": args.n, "replicas": args.replicas,
                                               "step_cap": args.step_cap}), args.seed)
     return EXIT_OK
@@ -283,12 +290,11 @@ def _cmd_simulate_branching(args) -> int:
         print(f"mean gap: {gaps.mean():.4g}, mean block population: "
               f"{trace.joint_blocks.mean():.4g}")
     if args.out:
-        columns = zip(gaps.tolist(), trace.joint_blocks.tolist(),
-                      blocks.products.tolist(), blocks.prefix_sums.tolist())
-        rows = [(j, gap, pop, f"{prod:.12g}", f"{load:.12g}")
-                for j, (gap, pop, prod, load) in enumerate(columns)]
         _write_csv(args.out, ["block", "gap", "population", "odds_product", "prefix_load"],
-                   rows, _config_hash(args.config, {"n": args.n}), args.seed)
+                   "%d,%d,%d,%.12g,%.12g",
+                   [range(len(gaps)), gaps.tolist(), trace.joint_blocks.tolist(),
+                    blocks.products.tolist(), blocks.prefix_sums.tolist()],
+                   _config_hash(args.config, {"n": args.n}), args.seed)
     return EXIT_OK
 
 
@@ -314,13 +320,10 @@ def _cmd_tails(args) -> int:
               f"ess {tilt.effective_sample_size:.0f}"
               f"{', UNRELIABLE' if tilt.unreliable else ''})")
     if args.out:
-        rows = [
-            (f"{t:.10g}", f"{s:.10g}", f"{c:.10g}")
-            for t, s, c in zip(report.curve.thresholds, report.curve.survival,
-                               report.curve.curve)
-        ]
+        curve = report.curve
         conf = _config_hash(args.config, {"samples": args.samples, "tol": args.tol})
-        _write_csv(args.out, ["threshold", "survival", "scaled_survival"], rows,
+        _write_csv(args.out, ["threshold", "survival", "scaled_survival"], "%.10g,%.10g,%.10g",
+                   [curve.thresholds.tolist(), curve.survival.tolist(), curve.curve.tolist()],
                    conf, args.seed)
         if args.dump:
             _write_samples(args.out + ".samples.csv", samples, conf, args.seed)
@@ -346,16 +349,16 @@ def _cmd_limit_check(args) -> int:
         print(f"{rep.side}-side regime {rep.regime}: b = {rep.b:.6g}, {shift}"
               f"KS = {rep.ks:.4f} (threshold {rep.ks_threshold}) -> {status}; "
               f"censored {rep.censored_fraction:.2%}")
-        for x, F in zip(rep.normalized, rep.fitted_cdf):
-            rows.append((rep.side, "sample", f"{x:.10g}", f"{F:.10g}", ""))
-        rows.append((rep.side, "summary", f"{rep.b:.10g}", f"{rep.ks:.10g}", rep.regime))
+        rows += [(rep.side, "sample", x, F, "")
+                 for x, F in zip(rep.normalized.tolist(), rep.fitted_cdf.tolist())]
+        rows.append((rep.side, "summary", rep.b, rep.ks, rep.regime))
     if args.out:
         params = {"n": args.n, "replicas": args.replicas, "side": args.side}
         if args.step_cap is not None:  # a CSV written without the flag keeps its hash
             params["step_cap"] = args.step_cap
         conf = _config_hash(args.config, params)
         _write_csv(args.out, ["side", "record", "x_or_b", "cdf_or_ks", "regime"],
-                   rows, conf, args.seed)
+                   "%s,%s,%.10g,%.10g,%s", list(zip(*rows)), conf, args.seed)
     return EXIT_OK
 
 

@@ -119,10 +119,16 @@ def moment_bracket(spec: EnvironmentSpec) -> tuple[np.ndarray, float | None, flo
     beta is halved until ``Lambda < 0``, which ends when the drift (the
     slope at zero) is negative; ``lo`` is None past ``BETA_FLOOR``, and
     ``hi`` is None when ``Lambda < 0`` on the whole grid (light tails).
+    Where ``rho**beta`` overflows, ``Lambda = m + log r(H diag(exp(beta *
+    (log rho - max(log rho))))`` with the shift ``m = beta * max(log rho)``.
     """
     # one stacked eigensolve: LAPACK runs per matrix, so each equals lyapunov_exponent's
-    stack = np.stack([tilt(spec, float(b)) for b in BETA_GRID])
+    with np.errstate(over="ignore"):
+        stack = np.stack([tilt(spec, float(b)) for b in BETA_GRID])
+    big, top = ~np.isfinite(stack).all(axis=(1, 2)), spec.log_rho().max()
+    stack[big] = spec.H * np.exp(BETA_GRID[big, None, None] * (spec.log_rho() - top))
     lams = np.log(np.max(np.abs(np.linalg.eigvals(stack)), axis=-1))
+    lams[big] += BETA_GRID[big] * top
     above = np.flatnonzero(lams >= 0.0)
     if above.size == 0:
         return lams, float(BETA_GRID[-1]), None
@@ -196,12 +202,14 @@ def solve_kappa(spec: EnvironmentSpec) -> SpectralReport:
         perron.eigenvector[REGEN_STATE] * spec.rho[REGEN_STATE] ** kappa
     )
     theta_radius, margin = sub_stochastic_radius(spec, kappa)
+    with np.errstate(over="ignore"):  # a radius past the largest double is inf
+        radii = np.exp(lams)
 
     return SpectralReport(
         kappa=kappa,
         beta_grid=BETA_GRID.copy(),
         lambdas=lams,
-        radii=np.exp(lams),
+        radii=radii,
         f_kappa=f_kappa,
         theta_kappa_radius=theta_radius,
         theta_margin=margin,

@@ -267,8 +267,9 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
     rows on one ``rng.random`` call.  The rows from site ``n`` up hold a
     sink state whose ``omega`` is 1: a lane that hits ``n`` walks straight
     up, and one found ``d`` rows above site ``n`` after ``t`` steps hit it
-    at step ``t - d``.  A left step adds one to the lane's total, and to
-    its total above the origin if made from a site >= 1.
+    at step ``t - d``.  A left step from a site >= 1 adds one to the lane's
+    total above the origin; its left moves after ``t`` steps are derived,
+    ``(t - site) // 2``, the sink's steps all being right steps.
 
     The steps up to the next boundary form a segment whose uniforms come
     from one ``rng.random((steps, lanes))`` call; it is no longer than the
@@ -290,16 +291,15 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
     out = np.zeros((4, buf.shape[1]), np.int64)  # steps, censored and both left-move totals
     lane = np.arange(buf.shape[1])  # the live lanes
     row = np.full(lane.size, origin)
-    moves, above = np.zeros((2, lane.size), np.int64)
+    above = np.zeros(lane.size, np.int64)
     t = 0
     while True:
         done = row >= goal if t < step_cap else np.ones(lane.size, bool)
         if done.any():
             out[:, lane[done]] = (t - np.maximum(row[done] - goal, 0), row[done] < goal,
-                                  moves[done], above[done])
+                                  (t - row[done] + origin) // 2, above[done])
             keep = ~done
-            lane, row, moves, above, buf = lane[keep], row[keep], moves[keep], above[keep], \
-                buf[:, keep]
+            lane, row, above, buf = lane[keep], row[keep], above[keep], buf[:, keep]
         if lane.size <= _FINISH_LANES:
             break
         if row.min() == 0:
@@ -322,7 +322,6 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
             np.greater_equal(u, om, out=left)
             np.greater_equal(idx, first, out=up)
             up &= left
-            moves += side
             above += up
             move.take(side, out=step, mode="clip")
             idx += step
@@ -332,8 +331,8 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
     for k, i in enumerate(lane.tolist()):
         states = buf[:goal, k].astype(np.int64)
         env = EnvPath(origin, n - 1, spec.omega[states], states, spec, rng)
-        rec = run_to_hit(env, n, rng, step_cap,
-                         (int(row[k]) - origin, t, int(moves[k]), int(above[k])))
+        site = int(row[k]) - origin
+        rec = run_to_hit(env, n, rng, step_cap, (site, t, (t - site) // 2, int(above[k])))
         out[:, i] = rec.steps, rec.censored, rec.left_moves, rec.left_moves_above
     return [WalkRecord(n, steps, bool(cens), total, high)
             for steps, cens, total, high in out.T.tolist()]

@@ -137,6 +137,18 @@ def test_common_regenerations_frozen_examples():
     assert list(branching.common_regenerations(nu, nu)) == list(nu)
 
 
+_increasing_times = st.sets(st.integers(1, 200), max_size=60).map(lambda s: [0, *sorted(s)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_increasing_times, _increasing_times)
+def test_common_regenerations_equal_the_plain_join(nu, regens):
+    # the join assumes strictly increasing lists, as both callers' lists are
+    want = np.concatenate([[0], np.intersect1d(nu[1:], regens[1:])])
+    got = branching.common_regenerations(np.array(nu), np.array(regens))
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 def test_block_products_frozen_examples():
     # single-length block at the rough state of K1: M = rho = 2, Q = 1
     logr = np.log(np.array([2.0, 2.0]))
@@ -277,6 +289,16 @@ def test_population_explosion_aborts():
                                     omega=np.array([0.25]), epsilon=0.1)
     with pytest.raises(NumericalError, match="explosion"):
         branching.sample_branching(spec, 5000, derive_rng(16, 0))
+
+
+def test_explosion_past_numpys_negative_binomial_limit_is_numerical():
+    # omega = 1e-10: a brood has mean 1e10, so the second generation's mean
+    # c * rho passes the bound numpy's negative_binomial refuses near 2**63
+    spec = envmodel.EnvironmentSpec(states=("cold",), H=np.array([[1.0]]),
+                                    omega=np.array([1e-10]), epsilon=1e-11)
+    for seed in range(4):
+        with pytest.raises(NumericalError, match="population explosion at generation 2"):
+            branching.sample_branching(spec, 100, derive_rng(seed, 0))
 
 
 # sha256 prefixes of 2000 population sums by (chain, n), kept out of the

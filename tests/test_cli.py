@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import inspect
@@ -27,6 +28,14 @@ def run_cli(*argv):
 def _sha256(path) -> str:
     """Golden CSV digests: the draw order and the formatting are pinned."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _csv_writer_file(path, header, rows, conf_hash, seed):
+    """The reference for the CLI's CSV writers: ``csv.writer`` rows and the
+    metadata comment."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+        fh.write(f"# config_hash={conf_hash} seed={seed}\n")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -89,6 +98,23 @@ def test_kappa_below_probe_grid(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "negative at beta=0.0009765625, nonnegative at beta=0.001953125" in out
     assert out.splitlines()[-1] == "OK"
+
+
+def test_kappa_when_the_probe_grid_overflows(tmp_path, capsys):
+    # odds up to 99999: rho**64 overflows on the grid's top point, whose
+    # Lambda is then evaluated with the tilt shifted; kappa lies in (1/32, 1/16)
+    stiff = tmp_path / "stiff.toml"
+    stiff.write_text('states = ["a", "b"]\nepsilon = "1e-6"\n'
+                     'H = [["0.99", "0.01"], ["0.5", "0.5"]]\nomega = ["0.9", "1e-5"]\n')
+    assert run_cli("validate", "--config", stiff) == 0
+    assert "nonnegative at beta=0.0625" in capsys.readouterr().out
+    assert run_cli("kappa", "--config", stiff, "--out", tmp_path / "k.csv") == 0
+    assert run_cli("speed", "--config", stiff) == 0
+    kappas = [float(k) for k in re.findall(r"^kappa = (\S+)$", capsys.readouterr().out, re.M)]
+    assert len(kappas) == 2 and all(1 / 32 < k < 1 / 16 for k in kappas)
+    beta, lam, radius = (tmp_path / "k.csv").read_text().splitlines()[-2].split(",")
+    assert (beta, radius) == ("64", "inf")  # Lambda = 736.13 lies past log(DBL_MAX)
+    assert 64 * np.log(99999.0) + np.log(0.5) - 1e-6 < float(lam) < 64 * np.log(99999.0)
 
 
 def test_kappa_and_speed_when_regeneration_margin_below_resolution(tmp_path, capsys):
@@ -262,8 +288,8 @@ def test_tails_report_and_dump(tmp_path, capsys):
     # the same bytes as csv.writer rows of the same samples (%.17g round-trips)
     samples = [float(v) for v in dump[1:-1]]
     rendered = tmp_path / "rendered.csv"
-    cli._write_csv(rendered, ["value"], [(f"{v:.17g}",) for v in samples],
-                   dump[-1].split("=")[1].split()[0], 4)
+    _csv_writer_file(rendered, ["value"], [(f"{v:.17g}",) for v in samples],
+                     dump[-1].split("=")[1].split()[0], 4)
     assert Path(str(out) + ".samples.csv").read_bytes() == rendered.read_bytes()
 
 
@@ -271,8 +297,28 @@ def test_samples_writer_matches_csv_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_DUMP_CHUNK", 3)  # chunks end mid-array
     values = np.array([0.1, -2.5e-300, 5e-324, 1e300, np.inf, 3.0, 1 / 3, 2.0**60])
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    cli._write_csv(want, ["value"], [(f"{v:.17g}",) for v in values], "abc", 9)
+    _csv_writer_file(want, ["value"], [(f"{v:.17g}",) for v in values], "abc", 9)
     cli._write_samples(got, values, "abc", 9)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writer_quotes_every_regime_as_csv_writer_does(tmp_path):
+    # limit-check's rows: string columns, one of them a regime name that may
+    # hold a comma, and floats; an int column as simulate-walk writes it
+    regimes = ["(0,1)", "{1}", "(1,2)", "{2}", ""]
+    columns = [["T", "X", "T", "X", "T"], ["summary"] * 4 + ["sample"],
+               [1.5, -2.25e-300, np.inf, 1 / 3, 7.0], [0.1, 0.2, 0.3, np.nan, 5e-324],
+               regimes, list(range(5))]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _csv_writer_file(want, ["side", "record", "x", "y", "regime", "i"],
+                     [(a, b, f"{x:.10g}", f"{y:.10g}", r, i) for a, b, x, y, r, i in zip(*columns)],
+                     "abc", 9)
+    cli._write_csv(got, ["side", "record", "x", "y", "regime", "i"], "%s,%s,%.10g,%.10g,%s,%d",
+                   columns, "abc", 9)
+    assert got.read_bytes() == want.read_bytes()
+    assert b',"(0,1)",' in got.read_bytes()
+    cli._write_csv(got, ["block"], "%d", [[]], "abc", 9)  # no rows: header and comment
+    _csv_writer_file(want, ["block"], [], "abc", 9)
     assert got.read_bytes() == want.read_bytes()
 
 
