@@ -10,6 +10,7 @@ environment variable controls stderr verbosity only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import logging
@@ -63,6 +64,17 @@ def _quoted(field: str) -> str:
     return '"%s"' % field.replace('"', '""') if quote else field
 
 
+@contextlib.contextmanager
+def _created(path, mode, **kwargs):
+    """``open(path, mode)`` for writing, an ``OSError`` opening or writing it
+    reported as a ``ModelError``."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, header, fmt, columns, conf_hash, seed):
     """Write ``header``, row ``i`` as ``fmt % (column[i] for column in columns)``
     and the metadata comment, byte for byte what ``csv.writer`` writes for
@@ -71,7 +83,7 @@ def _write_csv(path, header, fmt, columns, conf_hash, seed):
     columns = [list(map(_quoted, c)) if len(c) and isinstance(c[0], str) else c
                for c in columns]
     m = len(columns[0])
-    with open(path, "w", newline="") as fh:
+    with _created(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write((fmt + "\r\n") * m % tuple(chain.from_iterable(zip(*columns))))
         fh.write(f"# config_hash={conf_hash} seed={seed}\n")
@@ -127,7 +139,7 @@ def _write_rows(fh, values):
 
 def _write_samples(path, samples, conf_hash, seed):
     """``_write_csv(path, ["value"], "%.17g", [samples], ...)``, byte for byte."""
-    with open(path, "wb") as fh:
+    with _created(path, "wb") as fh:
         fh.write(b"value\r\n")  # csv.writer's line terminator
         for k in range(0, len(samples), _DUMP_CHUNK):
             _write_rows(fh, samples[k:k + _DUMP_CHUNK])
@@ -230,7 +242,8 @@ def _cmd_kappa(args) -> int:
 
 
 def _read_samples(path) -> np.ndarray:
-    """The series samples of ``path`` (a `tails --dump` file): at least two."""
+    """The series samples of ``path`` (a `tails --dump` file): at least two,
+    each finite and at least 1, as every series draw is."""
     try:  # "value" heads the file `tails --dump` writes
         with warnings.catch_warnings():  # numpy warns on an empty file; it fails below
             warnings.simplefilter("ignore", UserWarning)
@@ -240,6 +253,9 @@ def _read_samples(path) -> np.ndarray:
     if samples.size < 2:
         raise ModelError(f"cannot read series samples: {samples.size} found in {path}, "
                          "the cross check needs at least two")
+    if not (np.isfinite(samples) & (samples >= 1.0)).all():
+        raise ModelError(f"cannot read series samples: {path} holds a value that is not "
+                         "finite or is below 1, which no series draw is")
     return samples
 
 

@@ -4,13 +4,12 @@ Hitting times come two ways:
 
 * ``reference_walks`` — the reference path and the oracle: one uniform per
   step against the site probability.  Replicas run as lanes of lockstep
-  batches, every draw of a batch from one stream, on a site-major window
-  of one-byte chain states; the last few live lanes of a batch are
-  finished one by one by the scalar loop of ``run_to_hit``.  A record
-  keeps the steps taken, the censoring flag, the total left moves and
-  those made from sites >= 1, which is what ``simulate-walk``, the
-  per-path identity ``T = n + 2 * (left moves)`` and the branching check
-  read.
+  batches, every draw of a batch from one stream; the last few live lanes
+  of a batch are finished one by one by the scalar loop of
+  ``run_to_hit``.  A record keeps the steps taken, the censoring flag, the
+  total left moves and those made from sites >= 1, which is what
+  ``simulate-walk``, the per-path identity ``T = n + 2 * (left moves)``
+  and the branching check read.
 * ``annealed_hitting_sample`` — the sampling API: the per-site left-move
   counts of a right-transient walk form a downward chain of
   negative-binomial draws (one crossing is forced through every edge
@@ -23,15 +22,13 @@ Hitting times come two ways:
 Environment windows are two-sided, come from a model and extend
 themselves on demand.
 
-Positions come from ``annealed_position_sample``: lockstep lanes of walks
-on one site-major window buffer, filled in place, edges tested on a
-countdown.  The buffer holds each site's chain state in the narrowest
-unsigned type (one byte a site and lane up to 256 states), each row written
-in place by ``chain_move``; a step reads ``omega`` off it.  The buffer
-holds every site a lane can reach from the start, so it is never copied,
-and batches are as wide as ``_WINDOW_BYTES`` allows for that.  The steps
-before a countdown runs out draw their uniforms in one call, as does each
-fill of the window.
+Positions come from ``annealed_position_sample``.  Both lockstep views
+step through one kernel, ``_steps``, on a site-major window of chain
+states in the narrowest unsigned type (one byte up to 256 states), each
+row written in place by ``chain_move``; a segment's steps draw their
+uniforms in one call.  The hitting-time window grows downward by copy and
+drops finished lanes; the position window holds every site a lane can
+reach, so it is never copied, and is filled on a countdown.
 """
 
 from __future__ import annotations
@@ -158,8 +155,24 @@ class WalkRecord:
 
     @property
     def identity_holds(self) -> bool:
-        """Exact bookkeeping identity: T = n + 2 * (total left moves)."""
+        """Exact bookkeeping identity: T = n + 2 * (total left moves).
+
+        It checks a count kept step by step only on the steps that
+        :func:`run_to_hit` takes; a lockstep lane's left moves are derived
+        from its steps and site, ``(t - site) // 2``, so on the steps that
+        lane took in lockstep the identity checks only their parity.
+        """
         return not self.censored and self.steps == self.n_target + 2 * self.left_moves
+
+
+def _check_walks(n, step_cap, replicas=0):
+    """Refuse a target below site 1, a negative step cap or replica count."""
+    if n < 1:
+        raise ModelError(f"target site must be >= 1, got {n}")
+    if step_cap is not None and step_cap < 0:
+        raise ModelError(f"step cap must be nonnegative, got {step_cap}")
+    if replicas < 0:
+        raise ModelError("replicas must be nonnegative")
 
 
 def run_to_hit(
@@ -176,8 +189,7 @@ def run_to_hit(
     walk paused at site ``pos`` after ``t`` steps with its left-move totals:
     ``(pos, t, left_moves, left_moves_above)``.
     """
-    if n < 1:
-        raise ModelError(f"target site must be >= 1, got {n}")
+    _check_walks(n, step_cap)
     if env.right < n - 1:
         env.extend_right(max(_EXTEND_CHUNK, n - 1 - env.right))
     # Python lists: indexing them is several times cheaper than numpy's
@@ -234,26 +246,61 @@ def reference_walks(
     (:func:`_hitting_batch`).  Deterministic for fixed
     ``(spec, n, replicas, seed, step_cap)``.
     """
-    if n < 1:
-        raise ModelError(f"target site must be >= 1, got {n}")
-    if replicas < 0:
-        raise ModelError("replicas must be nonnegative")
+    _check_walks(n, step_cap, replicas)
     state = np.min_scalar_type(spec.n_states)  # a chain state or the sink
     height = n + 2 * _EXTEND_CHUNK
     lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
-    batches = -(-replicas // max(1, _WINDOW_BYTES // lane_bytes))
-    for b in range(batches):
-        width = (b + 1) * replicas // batches - b * replicas // batches
-        yield from _hitting_batch(spec, n, np.empty((height, width), state), step_cap,
-                                  derive_rng(seed, b, 0))
+    for b, part in enumerate(_split(replicas, max(1, _WINDOW_BYTES // lane_bytes))):
+        yield from _hitting_batch(spec, n, np.empty((height, part.stop - part.start), state),
+                                  step_cap, derive_rng(seed, b, 0))
+
+
+def _split(replicas, width):
+    """Slices of ``range(replicas)``: as few equal batches as ``width`` lanes allow."""
+    batches = -(-replicas // width)
+    return [slice(b * replicas // batches, (b + 1) * replicas // batches)
+            for b in range(batches)]
 
 
 def _fill(buf, rows, cum, rng):
     """One lockstep chain move per buffer row of ``rows`` from the row
-    before it (``rows.step`` back), written in place, the uniforms drawn at
-    once."""
-    for r, u in zip(rows, rng.random((len(rows), buf.shape[1]))):
-        chain_move(cum, buf[r - rows.step], u, out=buf[r])
+    before it (``rows.step`` back), written in place, the uniforms drawn
+    ``_EXTEND_CHUNK`` rows at a time."""
+    for k in range(0, len(rows), _EXTEND_CHUNK):
+        block = rows[k:k + _EXTEND_CHUNK]
+        for r, u in zip(block, rng.random((len(block), buf.shape[1]))):
+            chain_move(cum, buf[r - rows.step], u, out=buf[r])
+
+
+def _start(buf, origin, top, table, rng):
+    """A lockstep window's first rows, in place: row ``origin`` from
+    ``cum_pi``, the ``_EXTEND_CHUNK`` rows below it from ``cum_fwd`` and the
+    rows above it up to row ``top`` from ``cum_rev``."""
+    buf[origin] = np.searchsorted(table.cum_pi, rng.random(buf.shape[1]), side="right")
+    _fill(buf, range(origin - 1, origin - _EXTEND_CHUNK - 1, -1), table.cum_fwd, rng)
+    _fill(buf, range(origin + 1, top + 1), table.cum_rev, rng)
+
+
+def _steps(buf, idx, omega, rng, seg):
+    """The lockstep step of both walkers: move the lanes at flat indices
+    ``idx`` (``row * lanes + lane``) of the site-major window ``buf``
+    ``seg`` steps in place, left where a lane's uniform is not below its
+    state's ``omega``, the uniforms from one ``rng.random((seg, lanes))``
+    call; yield each step's left-step mask before the lanes move."""
+    m = buf.shape[1]
+    flat = buf.ravel()
+    # step buffers; take's default mode would copy through a temporary, and
+    # every index here lies inside its table, so "clip" never clips
+    st, om = np.empty(m, dtype=buf.dtype), np.empty(m)
+    left, step = np.empty(m, dtype=bool), np.empty_like(idx)
+    move, side = np.array([m, -m]), left.view(np.uint8)  # move[side]: buffer offset
+    for u in rng.random((seg, m)):
+        flat.take(idx, out=st, mode="clip")
+        omega.take(st, out=om, mode="clip")
+        np.greater_equal(u, om, out=left)
+        yield left
+        move.take(side, out=step, mode="clip")
+        idx += step
 
 
 def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
@@ -261,20 +308,17 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
     order, every draw from ``rng``.
 
     Row ``r`` of the site-major window ``buf`` holds every live lane's
-    chain state at site ``r - origin``: the origin row from ``cum_pi``, the
-    ``_EXTEND_CHUNK`` rows below it from ``cum_fwd`` and the rows up to
-    site ``n - 1`` from ``cum_rev``, each block of up to ``_EXTEND_CHUNK``
-    rows on one ``rng.random`` call.  The rows from site ``n`` up hold a
-    sink state whose ``omega`` is 1: a lane that hits ``n`` walks straight
-    up, and one found ``d`` rows above site ``n`` after ``t`` steps hit it
-    at step ``t - d``.  A left step from a site >= 1 adds one to the lane's
+    chain state at site ``r - origin``, from :func:`_start` up to site
+    ``n - 1``.  The rows from site ``n`` up hold a sink state whose
+    ``omega`` is 1: a lane that hits ``n`` walks straight up, and one
+    found ``d`` rows above site ``n`` after ``t`` steps hit it at step
+    ``t - d``.  A left step from a site >= 1 adds one to the lane's
     total above the origin; its left moves after ``t`` steps are derived,
     ``(t - site) // 2``, the sink's steps all being right steps.
 
-    The steps up to the next boundary form a segment whose uniforms come
-    from one ``rng.random((steps, lanes))`` call; it is no longer than the
-    distance from the lowest lane to the window's bottom row, from the
-    highest to its top row, or to ``step_cap``.  At a boundary the lanes in
+    The steps up to the next boundary form a segment of :func:`_steps`,
+    no longer than the distance from the lowest lane to the window's
+    bottom row, from the highest to its top row, or to ``step_cap``.  At a boundary the lanes in
     the sink, or every lane at the cap, are recorded and their columns
     dropped, and a lane on the bottom row grows the window downward by
     ``_EXTEND_CHUNK`` rows.  Once at most ``_FINISH_LANES`` lanes are live,
@@ -283,10 +327,7 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
     """
     table, chunk, omega = spec.chain, _EXTEND_CHUNK, np.append(spec.omega, 1.0)
     origin, goal = chunk, chunk + n  # buffer rows of sites 0 and n
-    buf[origin] = np.searchsorted(table.cum_pi, rng.random(buf.shape[1]), side="right")
-    _fill(buf, range(origin - 1, -1, -1), table.cum_fwd, rng)
-    for r in range(origin + 1, goal, chunk):
-        _fill(buf, range(r, min(r + chunk, goal)), table.cum_rev, rng)
+    _start(buf, origin, goal - 1, table, rng)
     buf[goal:] = spec.n_states  # the sink, omega[-1]
     out = np.zeros((4, buf.shape[1]), np.int64)  # steps, censored and both left-move totals
     lane = np.arange(buf.shape[1])  # the live lanes
@@ -310,22 +351,12 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
             goal += chunk
         seg = min(int(row.min()), len(buf) - 1 - int(row.max()), step_cap - t)
         m = lane.size
-        idx, flat, first = row * m + np.arange(m), buf.ravel(), (origin + 1) * m
-        # step buffers, as in _position_batch; side 1 is a left step, and a
-        # lane at flat index first or past it is at a site >= 1
-        st, om = np.empty(m, dtype=buf.dtype), np.empty(m)
-        left, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-        step, move, side = np.empty_like(idx), np.array([m, -m]), left.view(np.uint8)
-        for u in rng.random((seg, m)):
-            flat.take(idx, out=st, mode="clip")
-            omega.take(st, out=om, mode="clip")
-            np.greater_equal(u, om, out=left)
+        # a lane at flat index first or past it is at a site >= 1
+        idx, first, up = row * m + np.arange(m), (origin + 1) * m, np.empty(m, dtype=bool)
+        for left in _steps(buf, idx, omega, rng, seg):
             np.greater_equal(idx, first, out=up)
             up &= left
             above += up
-            move.take(side, out=step, mode="clip")
-            idx += step
-        del u  # the segment's uniform block, before the next boundary's copies
         t += seg
         row = idx // m
     for k, i in enumerate(lane.tolist()):
@@ -423,10 +454,7 @@ def annealed_hitting_sample(
     ``derive_rng(seed, 0)`` in a fixed order.  Values above ``step_cap``
     are censored.
     """
-    if n < 1:
-        raise ModelError(f"target site must be >= 1, got {n}")
-    if replicas < 0:
-        raise ModelError("replicas must be nonnegative")
+    _check_walks(n, step_cap, replicas)
     rng = derive_rng(seed, 0)
     law = _left_move_law(spec)
     counts, total, states = forced_crossings(spec, n, replicas, rng, law)
@@ -465,24 +493,19 @@ def annealed_position_sample(
     lane's bytes being its full-height window column and one fill's
     uniforms, and no batch wider than ``_ADDRESS_BYTES // lane_bytes``
     (one lane at least); batch ``b`` draws from the stream
-    ``derive_rng(seed, b)``.
-    A batch's lanes step in lockstep, one uniform each per step.
-    Their environments share one site-major buffer: row ``r`` holds every
-    lane's chain state at one site, in the narrowest unsigned type that
-    holds ``n_states - 1``, and a lane at row ``r`` reads flat index
-    ``r * lanes + lane`` and then that state's ``omega``.  The buffer has
-    every row a lane can reach from the start, ``n_steps + _EXTEND_CHUNK``
-    on each side of the origin, and is never copied; ``np.empty`` leaves
-    rows that are never written out of the resident set.  The window
-    starts ``_EXTEND_CHUNK`` sites a side.  After a step that leaves a lane
-    on a window edge, that side is filled ``_EXTEND_CHUNK`` sites further
-    (left before right) from the edge row's states, in place.  A lane
-    moves one site per step, so the edges are re-measured only when a
-    countdown, the distance from the nearest edge to its closest lane,
-    runs out.  The steps up to then form a segment: no edge moves inside
-    it, so its uniforms come from one ``rng.random((steps, lanes))`` call,
-    row by row the same stream as one call per step.  Each fill draws its
-    ``_EXTEND_CHUNK`` rows of chain uniforms in one call too.
+    ``derive_rng(seed, b)``.  A batch's lanes step in lockstep, one
+    uniform each per step (:func:`_steps`), on one site-major window of
+    chain states in the narrowest unsigned type that holds
+    ``n_states - 1``.  The window has every row a lane can reach from the
+    start, ``n_steps + _EXTEND_CHUNK`` on each side of the origin, and is
+    never copied; ``np.empty`` leaves rows that are never written out of
+    the resident set.  It starts ``_EXTEND_CHUNK`` sites a side
+    (:func:`_start`).  After a step that leaves a lane on a window edge,
+    that side is filled ``_EXTEND_CHUNK`` sites further (left before
+    right) from the edge row's states, in place.  A lane moves one site
+    per step, so the edges are re-measured only when a countdown, the
+    distance from the nearest edge to its closest lane, runs out; the
+    steps up to then form one segment, inside which no edge moves.
     Deterministic for fixed ``(spec, n_steps, replicas, seed)``.
     """
     if n_steps < 0 or replicas < 0:
@@ -492,12 +515,10 @@ def annealed_position_sample(
     lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
     width = min(max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes),
                 max(1, _ADDRESS_BYTES // lane_bytes))
-    batches = -(-replicas // width)
     out = np.empty(replicas, dtype=np.int64)
-    for b in range(batches):
-        part = out[b * replicas // batches:(b + 1) * replicas // batches]
-        part[:] = _position_batch(spec, n_steps, np.empty((height, part.size), state),
-                                  derive_rng(seed, b))
+    for b, part in enumerate(_split(replicas, width)):
+        buf = np.empty((height, part.stop - part.start), state)
+        out[part] = _position_batch(spec, n_steps, buf, derive_rng(seed, b))
     return out
 
 
@@ -506,32 +527,19 @@ def _position_batch(spec, n_steps, buf, rng):
     their window in ``buf`` (origin in the middle row) and every draw from
     ``rng``; see :func:`annealed_position_sample`."""
     table, chunk, lanes = spec.chain, _EXTEND_CHUNK, buf.shape[1]
-
     origin = len(buf) // 2
     lo, hi = origin - chunk, origin + chunk  # buffer rows of sites -left and right
-    buf[origin] = np.searchsorted(table.cum_pi, rng.random(lanes), side="right")
-    _fill(buf, range(origin - 1, lo - 1, -1), table.cum_fwd, rng)
-    _fill(buf, range(origin + 1, hi + 1), table.cum_rev, rng)
-    idx, flat = origin * lanes + np.arange(lanes), buf.ravel()
-    # step buffers; take's default mode would copy through a temporary, and
-    # every index here lies inside its table, so "clip" never clips
-    st, om = np.empty(lanes, dtype=buf.dtype), np.empty(lanes)
-    right, step = np.empty(lanes, dtype=bool), np.empty_like(idx)
-    move, side = np.array([-lanes, lanes]), right.view(np.uint8)  # move[side]: buffer offset
+    _start(buf, origin, hi, table, rng)
+    idx = origin * lanes + np.arange(lanes)
     countdown = chunk
     while True:
         # no lane can reach an edge within the segment: its uniforms come at once
         seg = min(countdown, n_steps)
-        for u in rng.random((seg, lanes)):
-            flat.take(idx, out=st, mode="clip")
-            spec.omega.take(st, out=om, mode="clip")
-            np.less(u, om, out=right)
-            move.take(side, out=step, mode="clip")
-            idx += step
+        for _ in _steps(buf, idx, spec.omega, rng, seg):
+            pass
         n_steps -= seg
         if not n_steps:
             return idx // lanes - origin
-        del u  # the segment's uniform block, before the fills draw theirs
         if idx.min() // lanes == lo:
             _fill(buf, range(lo - 1, lo - chunk - 1, -1), table.cum_fwd, rng)
             lo -= chunk

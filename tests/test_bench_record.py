@@ -50,3 +50,36 @@ def test_layers_summarise_the_metrics_every_traced_run_reports():
     assert table["a.ns"] == 2.0 and table["quartiles"]["a.ns"] == [1.5, 2.5]
     assert [(r["correct"], r["failed"]) for r in table["runs"]] == [(True, 0), (True, 0),
                                                                     (False, 1)]
+
+
+SYNTHETIC = '''"""Module docstring,
+two lines."""
+
+import os  # counted: code with a comment
+
+
+class K:
+    """Class docstring."""
+
+    # a comment alone
+    x = """a string that is not a docstring,
+    but code on both lines"""
+
+    def f(self):
+        \'\'\'One-line docstring.\'\'\'
+        return (1,
+
+                2)
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    # code: the import, the class line, both lines of x, the def and the
+    # return's two lines (the blank line inside its parentheses is not code)
+    assert bench_record.code_lines(SYNTHETIC) == 7
+    pkg = tmp_path / "src" / "rwre"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(SYNTHETIC)
+    (pkg / "b.py").write_text("# only a comment\n\nvalue = 1\n")
+    assert bench_record.src_code_lines(tmp_path) == 8
+    assert bench_record.src_lines(tmp_path) == SYNTHETIC.count("\n") + 3

@@ -180,9 +180,12 @@ def test_speed_reads_tails_dump(tmp_path, capsys):
     assert "-> consistent" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", [None, "value\r\n1.5\r\nabc\r\n", "", "value\r\n2.5\r\n"])
+@pytest.mark.parametrize("content", [None, "value\r\n1.5\r\nabc\r\n", "", "value\r\n2.5\r\n",
+                                     "value\r\n1.5\r\nnan\r\n", "value\r\n1.5\r\ninf\r\n",
+                                     "value\r\n1.5\r\n-3\r\n"])
 def test_speed_unreadable_samples_exit_1(tmp_path, capsys, recwarn, content):
-    # a missing file, a bad value, no values, one value: rejected before the report
+    # a missing file, a bad value, no values, one value, and values no series
+    # draw takes (NaN, infinity, below 1): rejected before the report
     sfile = tmp_path / "r.csv"
     if content is not None:
         sfile.write_bytes(content.encode())
@@ -262,6 +265,25 @@ def test_simulate_walk_bad_counts_are_model_errors(n, replicas, message, capsys)
     assert run_cli("simulate-walk", "--config", K2, "--n", n, "--replicas", replicas) == (
         cli.EXIT_MODEL)
     assert f"model error: {message}" in capsys.readouterr().err
+
+
+def test_simulate_walk_negative_step_cap_is_a_model_error(capsys):
+    # a censored walk's steps read the cap, which a negative cap cannot give
+    assert run_cli("simulate-walk", "--config", K2, "--n", 5, "--replicas", 4,
+                   "--step-cap", -3) == cli.EXIT_MODEL
+    assert capsys.readouterr().err == "model error: step cap must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("argv, out, blocked", [
+    (("kappa", "--config", K2), "missing/x.csv", "missing/x.csv"),
+    (("tails", "--config", K2, "--samples", 2000, "--dump"), "x.csv", "x.csv.samples.csv"),
+])
+def test_unwritable_out_is_a_model_error(tmp_path, capsys, argv, out, blocked):
+    # no directory for the CSV, or a directory where the dump goes
+    (tmp_path / "x.csv.samples.csv").mkdir()
+    assert run_cli(*argv, "--out", tmp_path / out) == cli.EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: cannot write {tmp_path / blocked}: ") and err.count("\n") == 1
 
 
 def test_simulate_branching_csv(tmp_path, capsys):

@@ -684,6 +684,23 @@ def test_reference_walks_rejects_bad_counts(n, replicas, message):
         walksim.annealed_hitting_sample(chains.chain_mk_k2(), n, replicas, seed=1)
 
 
+def test_step_cap_zero_is_valid_and_a_negative_cap_is_refused():
+    # a censored record reads steps == step_cap, so a cap of 0 censors every
+    # walk at 0 steps and a negative cap cannot be honoured
+    spec, zero = chains.chain_mk_k2(), walksim.WalkRecord(10, 0, True, 0, 0)
+    env = walksim.sample_environment(spec, 64, 9, derive_rng(3, 0))
+    assert walksim.run_to_hit(env, 10, derive_rng(3, 1), step_cap=0) == zero
+    assert list(walksim.reference_walks(spec, 10, 100, seed=3, step_cap=0)) == [zero] * 100
+    assert walksim.annealed_hitting_sample(spec, 10, 100, seed=3, step_cap=0).censored.all()
+    refused = "step cap must be nonnegative, got -2"
+    with pytest.raises(ModelError, match=refused):
+        walksim.run_to_hit(env, 10, derive_rng(3, 1), step_cap=-2)
+    with pytest.raises(ModelError, match=refused):
+        list(walksim.reference_walks(spec, 10, 3, seed=1, step_cap=-2))
+    with pytest.raises(ModelError, match=refused):
+        walksim.annealed_hitting_sample(spec, 10, 3, seed=1, step_cap=-2)
+
+
 def test_censoring_just_below_window_keeps_left_moves():
     # the first step leaves the one-site window; the cap stops the walk there
     spec = chains.single_state(9.0)

@@ -5,8 +5,10 @@ workload and seed in each given source tree, interleaving the trees seed
 by seed and swapping their order on every other seed so that drift of the
 host's speed hits them alike, and writes the medians and quartiles of
 ``cpu_s``, ``setup_s`` and ``peak_rss_mb`` per workload with each tree's
-commit and ``src/rwre/*.py`` line count to ``BENCH_<pr>.json`` at the root
-of this repository:
+commit and ``src/rwre/*.py`` line counts to ``BENCH_<pr>.json`` at the root
+of this repository: ``src_lines`` as ``wc -l`` counts them and
+``src_code_lines`` without blank, comment-only and docstring lines, so that
+a cut comment or docstring is not read as a code cut:
 
     python3 tools/bench_record.py --pr 7 \\
         --tree parent=/path/to/parent/checkout --tree change=.
@@ -38,10 +40,13 @@ medians and verdicts of the end-to-end metrics read only the untraced runs.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 WORKLOADS = ("limit-check", "walk-branching", "kappa-tails")
@@ -82,6 +87,28 @@ def commit_of(tree: Path) -> str:
 def src_lines(tree: Path) -> int:
     """Lines of the tree's ``src/rwre/*.py``, as ``wc -l`` counts them."""
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "rwre").glob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold code: not blank, not only a
+    comment and not part of a module, class or function docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:  # a multi-line string holds code on every line
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def src_code_lines(tree: Path) -> int:
+    """:func:`code_lines` summed over the tree's ``src/rwre/*.py``."""
+    return sum(code_lines(f.read_text()) for f in (tree / "src" / "rwre").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -137,7 +164,8 @@ def main(argv=None) -> None:
     trees = {label: Path(path).resolve()
              for label, path in (t.split("=", 1) for t in args.tree)}
     result = {"pr": args.pr, "trees": {
-        label: {"commit": commit_of(path), "src_lines": src_lines(path), "workloads": {}}
+        label: {"commit": commit_of(path), "src_lines": src_lines(path),
+                "src_code_lines": src_code_lines(path), "workloads": {}}
         for label, path in trees.items()}}
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label in trees}
