@@ -516,9 +516,10 @@ def annealed_position_sample(
     width = min(max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes),
                 max(1, _ADDRESS_BYTES // lane_bytes))
     out = np.empty(replicas, dtype=np.int64)
-    for b, part in enumerate(_split(replicas, width)):
-        buf = np.empty((height, part.stop - part.start), state)
-        out[part] = _position_batch(spec, n_steps, buf, derive_rng(seed, b))
+    for b, cut in enumerate(_split(replicas, width)):
+        part = out[cut]  # the window is a temporary: freed before the next batch's
+        part[:] = _position_batch(spec, n_steps, np.empty((height, part.size), state),
+                                  derive_rng(seed, b))
     return out
 
 

@@ -191,21 +191,25 @@ def test_position_batches_narrow_past_the_address_cap(monkeypatch):
     assert np.array_equal(x, walksim.annealed_position_sample(spec, 500, 300, seed=6))
 
 
-def test_position_window_costs_one_byte_per_site_and_lane():
+def test_position_window_costs_one_byte_per_site_and_lane(monkeypatch):
     # 512 lanes walk about 2,400 sites right in 3000 steps on a full-height
     # window of one-byte states: that buffer, one block of 64 uniforms a lane
     # and the step's and a chain move's lane vectors (under 96 bytes a lane)
     # bound the peak; a growth copy, a second live block of uniforms (512
-    # bytes a lane) or 8-byte states would not fit
+    # bytes a lane) or 8-byte states would not fit.  Run as two 512-lane
+    # batches, 1024 replicas fit it too (and their positions): a batch's
+    # window kept alive into the next batch would not
     spec = chains.nonarith_k2()
     walksim.annealed_position_sample(spec, 10, 8, seed=5)
-    tracemalloc.start()
-    try:
-        walksim.annealed_position_sample(spec, 3000, 512, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * (_lane_bytes(3000) + 96)
+    monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)  # batches of _POSITION_BATCH lanes
+    for replicas in (512, 1024):
+        tracemalloc.start()
+        try:
+            walksim.annealed_position_sample(spec, 3000, replicas, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * (_lane_bytes(3000) + 96) + 8 * replicas, replicas
 
 
 def _positions_alone(spec, n_steps, replicas, seed):
