@@ -66,8 +66,7 @@ def _quoted(field: str) -> str:
 
 @contextlib.contextmanager
 def _created(path, mode, **kwargs):
-    """``open(path, mode)`` for writing, an ``OSError`` opening or writing it
-    reported as a ``ModelError``."""
+    """``open(path, mode)`` to write, an ``OSError`` opening or writing it a ``ModelError``."""
     try:
         with open(path, mode, **kwargs) as fh:
             yield fh

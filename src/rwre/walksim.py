@@ -155,13 +155,9 @@ class WalkRecord:
 
     @property
     def identity_holds(self) -> bool:
-        """Exact bookkeeping identity: T = n + 2 * (total left moves).
-
-        It checks a count kept step by step only on the steps that
-        :func:`run_to_hit` takes; a lockstep lane's left moves are derived
-        from its steps and site, ``(t - site) // 2``, so on the steps that
-        lane took in lockstep the identity checks only their parity.
-        """
+        """Exact bookkeeping identity: T = n + 2 * (total left moves).  Only the
+        steps :func:`run_to_hit` takes count left moves one by one; a lockstep
+        lane's are ``(t - site) // 2``, so on its lockstep steps this checks parity."""
         return not self.censored and self.steps == self.n_target + 2 * self.left_moves
 
 
@@ -251,21 +247,19 @@ def reference_walks(
     height = n + 2 * _EXTEND_CHUNK
     lane_bytes = height * state.itemsize + 8 * _EXTEND_CHUNK
     for b, part in enumerate(_split(replicas, max(1, _WINDOW_BYTES // lane_bytes))):
-        yield from _hitting_batch(spec, n, np.empty((height, part.stop - part.start), state),
-                                  step_cap, derive_rng(seed, b, 0))
+        yield from _hitting_batch(spec, n, np.empty((height, len(part)), state), step_cap,
+                                  derive_rng(seed, b, 0))
 
 
 def _split(replicas, width):
-    """Slices of ``range(replicas)``: as few equal batches as ``width`` lanes allow."""
+    """The replica ranges of as few equal batches as ``width`` lanes allow."""
     batches = -(-replicas // width)
-    return [slice(b * replicas // batches, (b + 1) * replicas // batches)
-            for b in range(batches)]
+    return [range(b * replicas // batches, (b + 1) * replicas // batches) for b in range(batches)]
 
 
 def _fill(buf, rows, cum, rng):
-    """One lockstep chain move per buffer row of ``rows`` from the row
-    before it (``rows.step`` back), written in place, the uniforms drawn
-    ``_EXTEND_CHUNK`` rows at a time."""
+    """One lockstep chain move per buffer row of ``rows`` from the row before
+    it (``rows.step`` back), in place, on ``_EXTEND_CHUNK`` rows of uniforms a call."""
     for k in range(0, len(rows), _EXTEND_CHUNK):
         block = rows[k:k + _EXTEND_CHUNK]
         for r, u in zip(block, rng.random((len(block), buf.shape[1]))):
@@ -273,9 +267,8 @@ def _fill(buf, rows, cum, rng):
 
 
 def _start(buf, origin, top, table, rng):
-    """A lockstep window's first rows, in place: row ``origin`` from
-    ``cum_pi``, the ``_EXTEND_CHUNK`` rows below it from ``cum_fwd`` and the
-    rows above it up to row ``top`` from ``cum_rev``."""
+    """A window's first rows, in place: row ``origin`` from ``cum_pi``, the
+    ``_EXTEND_CHUNK`` below it from ``cum_fwd`` and those up to ``top`` from ``cum_rev``."""
     buf[origin] = np.searchsorted(table.cum_pi, rng.random(buf.shape[1]), side="right")
     _fill(buf, range(origin - 1, origin - _EXTEND_CHUNK - 1, -1), table.cum_fwd, rng)
     _fill(buf, range(origin + 1, top + 1), table.cum_rev, rng)
@@ -516,10 +509,9 @@ def annealed_position_sample(
     width = min(max(_POSITION_BATCH, _WINDOW_BYTES // lane_bytes),
                 max(1, _ADDRESS_BYTES // lane_bytes))
     out = np.empty(replicas, dtype=np.int64)
-    for b, cut in enumerate(_split(replicas, width)):
-        part = out[cut]  # the window is a temporary: freed before the next batch's
-        part[:] = _position_batch(spec, n_steps, np.empty((height, part.size), state),
-                                  derive_rng(seed, b))
+    for b, part in enumerate(_split(replicas, width)):  # each window freed before the next
+        out[part] = _position_batch(spec, n_steps, np.empty((height, len(part)), state),
+                                    derive_rng(seed, b))
     return out
 
 
