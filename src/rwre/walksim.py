@@ -311,12 +311,12 @@ def _hitting_batch(spec, n, buf, step_cap, rng) -> list[WalkRecord]:
 
     The steps up to the next boundary form a segment of :func:`_steps`,
     no longer than the distance from the lowest lane to the window's
-    bottom row, from the highest to its top row, or to ``step_cap``.  At a boundary the lanes in
-    the sink, or every lane at the cap, are recorded and their columns
-    dropped, and a lane on the bottom row grows the window downward by
-    ``_EXTEND_CHUNK`` rows.  Once at most ``_FINISH_LANES`` lanes are live,
-    each is finished in lane order by :func:`run_to_hit` on its column and
-    ``rng``.
+    bottom row, from the highest to its top row, or to ``step_cap``.  At
+    a boundary the lanes in the sink, or every lane at the cap, are
+    recorded and their columns dropped, and a lane on the bottom row
+    grows the window downward by ``_EXTEND_CHUNK`` rows.  Once at most
+    ``_FINISH_LANES`` lanes are live, each is finished in lane order by
+    :func:`run_to_hit` on its column and ``rng``.
     """
     table, chunk, omega = spec.chain, _EXTEND_CHUNK, np.append(spec.omega, 1.0)
     origin, goal = chunk, chunk + n  # buffer rows of sites 0 and n

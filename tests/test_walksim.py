@@ -197,8 +197,8 @@ def test_position_window_costs_one_byte_per_site_and_lane(monkeypatch):
     # and the step's and a chain move's lane vectors (under 96 bytes a lane)
     # bound the peak; a growth copy, a second live block of uniforms (512
     # bytes a lane) or 8-byte states would not fit.  Run as two 512-lane
-    # batches, 1024 replicas fit it too (and their positions): a batch's
-    # window kept alive into the next batch would not
+    # batches, 1024 replicas fit it too: a batch's window kept alive into
+    # the next batch would not
     spec = chains.nonarith_k2()
     walksim.annealed_position_sample(spec, 10, 8, seed=5)
     monkeypatch.setattr(walksim, "_WINDOW_BYTES", 0)  # batches of _POSITION_BATCH lanes
@@ -209,7 +209,7 @@ def test_position_window_costs_one_byte_per_site_and_lane(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 512 * (_lane_bytes(3000) + 96) + 8 * replicas, replicas
+        assert peak < 512 * (_lane_bytes(3000) + 96), replicas
 
 
 def _positions_alone(spec, n_steps, replicas, seed):
